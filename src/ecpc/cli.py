@@ -44,6 +44,7 @@ from .glm import (
     fit_weighted_ridge,
     stratified_folds,
 )
+from .hypershrinkage import KINDS
 from .selection import select_credible, select_dss, select_l1
 
 __all__ = ["main"]
@@ -574,14 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hyper",
         action="append",
         default=[],
-        choices=[
-            "none",
-            "ridge",
-            "lasso",
-            "hierarchical_lasso",
-            "lasso_then_ridge",
-            "hier_lasso_then_ridge",
-        ],
+        choices=KINDS,
         help="hypershrinkage kind, one per --codata (default ridge)",
     )
     ap.add_argument("--folds", type=int, default=10)

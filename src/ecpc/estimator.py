@@ -17,28 +17,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .codata import CoDataMatrix, Grouping, HierTree, build_codata_matrix
-from .errors import DataError, SingularSystemError
-from . import glm
+from .codata import CoDataMatrix, Grouping, build_codata_matrix
+from .errors import DataError
 from .glm import (
-    GlobalVariance,
     PenaltyState,
     ResponseFamily,
-    RidgeFit,
     breslow_cumhaz,
     estimate_global_variance,
     fit_weighted_ridge,
     moment_weights,
 )
 from .hypershrinkage import (
-    GroupWeights,
     HyperPenalty,
     estimate_hyperlambda,
     group_size_scaling,
     solve_hyper,
 )
 from .mom import (
-    MomentCore,
     MomentSystem,
     build_grouping_weight_system,
     build_variance_system,
@@ -56,7 +51,7 @@ __all__ = [
 ]
 
 TAU_LOCAL_FLOOR = 1e-6
-SPARSE_KINDS = {"lasso", "lasso_then_ridge", "hierarchical_lasso", "hier_lasso_then_ridge"}
+SPARSE_KINDS = {"lasso", "hierarchical_lasso"}
 
 
 @dataclass
@@ -211,7 +206,7 @@ def fit_ecpc(
     for d, (grouping, Z, penalty) in enumerate(
         zip(codata_list, codata_matrices, penalties)
     ):
-        if penalty.kind in ("hierarchical_lasso", "hier_lasso_then_ridge") and trees[d] is None:
+        if penalty.kind == "hierarchical_lasso" and trees[d] is None:
             raise DataError(
                 f"grouping '{grouping.name}' has no hierarchy for kind '{penalty.kind}'"
             )

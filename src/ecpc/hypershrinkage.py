@@ -31,14 +31,7 @@ __all__ = [
     "solve_hyper",
 ]
 
-KINDS = (
-    "none",
-    "ridge",
-    "lasso",
-    "hierarchical_lasso",
-    "hier_lasso_then_ridge",
-    "lasso_then_ridge",
-)
+KINDS = ("none", "ridge", "lasso", "hierarchical_lasso")
 
 
 @dataclass(frozen=True)
@@ -48,15 +41,12 @@ class HyperPenalty:
     kind: str = "ridge"
     lam: float = 0.0
     target: float = 1.0
-    size_scaling: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DataError(f"unknown hyperpenalty kind '{self.kind}'")
         if self.lam < 0:
             raise DataError("hyperpenalty strength must be non-negative")
-        if self.size_scaling is not None and np.any(np.asarray(self.size_scaling) <= 0):
-            raise DataError("size scaling entries must be positive")
 
 
 @dataclass
@@ -166,14 +156,22 @@ def lasso_null_threshold(system: MomentSystem, W_gamma: np.ndarray) -> float:
 
 
 def _latent_paths(tree: HierTree, n_groups: int):
-    """Root-to-node group-index paths, one per tree node."""
+    """Latent supports and the indices of the penalised latents.
+
+    One root-to-node group-index path per tree node, then one single-group
+    support per group outside the tree.  Every latent but the root's and
+    those of the groups outside the tree is penalised.
+    """
     paths = []
     for node in range(tree.n_nodes):
         path = [tree.node_group[m] for m in tree.path_to_root(node)]
         if any(g >= n_groups for g in path):
             raise DataError("hierarchy references a group outside the system")
         paths.append(np.asarray(path))
-    return paths
+    outside = sorted(set(range(n_groups)) - set(tree.node_group))
+    paths += [np.array([g]) for g in outside]
+    penalised = [m for m in range(tree.n_nodes) if m != tree.root]
+    return paths, penalised
 
 
 def solve_hierarchical_lasso(
@@ -190,21 +188,22 @@ def solve_hierarchical_lasso(
     path; the scaled weights are the sum of the latents and each latent's
     Euclidean norm is penalised (the root's is not, so arbitrarily strong
     penalties fall back to the non-informative single-group solution rather
-    than an empty one).  Any union of root-to-node paths is closed under
-    taking ancestors, so the selected node set always is too.  Selected
-    groups are then refit with ridge shrinkage at the same strength.
+    than an empty one).  A group outside the hierarchy, such as the group of
+    covariates with a missing annotation, gets its own unpenalised latent.
+    Any union of root-to-node paths is closed under taking ancestors, so the
+    selected node set always is too.  Selected groups are then refit with
+    ridge shrinkage at the same strength.
     """
     A = np.asarray(system.A, dtype=float)
     b = np.asarray(system.b, dtype=float)
     G = A.shape[1]
     W = np.asarray(W_gamma, dtype=float)
-    if tree.n_nodes != G:
+    if tree.n_nodes > G:
         raise DataError(
-            f"hierarchy has {tree.n_nodes} nodes but the system has {G} groups"
+            f"hierarchy has {tree.n_nodes} nodes but the system has only {G} groups"
         )
     As = A / np.sqrt(W)[None, :]
-    paths = _latent_paths(tree, G)
-    root = tree.root
+    paths, penalised = _latent_paths(tree, G)
 
     if lam == 0:
         base = solve_ridge_hyper(system, 0.0, W_gamma)
@@ -239,8 +238,7 @@ def solve_hierarchical_lasso(
         g = combine(u)
         pen = sum(
             np.linalg.norm(u[offsets[m] : offsets[m + 1]])
-            for m in range(tree.n_nodes)
-            if m != root
+            for m in penalised
         )
         return float(((As @ g - b) ** 2).sum() + lam * pen)
 
@@ -252,9 +250,7 @@ def solve_hierarchical_lasso(
         g = combine(z)
         grad_g = 2.0 * As.T @ (As @ g - b)
         u_new = z - scatter(grad_g) / L
-        for m in range(tree.n_nodes):
-            if m == root:
-                continue
+        for m in penalised:
             seg = u_new[offsets[m] : offsets[m + 1]]
             nrm = np.linalg.norm(seg)
             scale = max(0.0, 1.0 - lam / (L * nrm)) if nrm > 0 else 0.0
@@ -273,7 +269,7 @@ def solve_hierarchical_lasso(
     selected = np.zeros(G, dtype=bool)
     for m, path in enumerate(paths):
         seg = u[offsets[m] : offsets[m + 1]]
-        if m == root or np.linalg.norm(seg) > latent_norm_tol:
+        if m not in penalised or np.linalg.norm(seg) > latent_norm_tol:
             selected[path] = True
 
     gamma = np.zeros(G)
@@ -302,9 +298,9 @@ def solve_hyper(
         return solve_ridge_hyper(system, 0.0, W_gamma, target=penalty.target)
     if kind == "ridge":
         return solve_ridge_hyper(system, penalty.lam, W_gamma, target=penalty.target)
-    if kind in ("lasso", "lasso_then_ridge"):
+    if kind == "lasso":
         return solve_lasso_hyper(system, penalty.lam, W_gamma)
-    if kind in ("hierarchical_lasso", "hier_lasso_then_ridge"):
+    if kind == "hierarchical_lasso":
         if tree is None:
             raise DataError(f"hyperpenalty kind '{kind}' requires a hierarchy")
         return solve_hierarchical_lasso(system, tree, penalty.lam, W_gamma)
@@ -324,7 +320,6 @@ def estimate_hyperlambda(
     grid: np.ndarray | None = None,
     tree: HierTree | None = None,
     tau_global: float = 1.0,
-    degenerate: bool = False,
 ) -> float:
     """Tune the hyperpenalty strength by random in/out group splits.
 
@@ -342,23 +337,15 @@ def estimate_hyperlambda(
         raise DataError("empty hyperpenalty grid")
 
     Z = build_codata_matrix(grouping)
-    if degenerate:
-        from .mom import build_variance_system
-
-        full = build_variance_system(core, Z, grouping, tau_global=tau_global)
-        systems = [(full, full, group_size_scaling(grouping))]
-    else:
-        systems = []
-        for s in range(n_splits):
-            split = split_groups_random(grouping, seed=seed + s)
-            sys_in, sys_out = build_split_systems(
-                core, grouping, split, Z=Z, tau_global=tau_global
-            )
-            sizes_in = np.array(
-                [len(part) for part in split.in_groups], dtype=float
-            )
-            sizes_in = np.maximum(sizes_in, 1.0)
-            systems.append((sys_in, sys_out, sizes_in))
+    systems = []
+    for s in range(n_splits):
+        split = split_groups_random(grouping, seed=seed + s)
+        sys_in, sys_out = build_split_systems(
+            core, grouping, split, Z=Z, tau_global=tau_global
+        )
+        sizes_in = np.array([len(part) for part in split.in_groups], dtype=float)
+        sizes_in = np.maximum(sizes_in, 1.0)
+        systems.append((sys_in, sys_out, sizes_in))
 
     penalty_of = lambda lam: HyperPenalty(kind=penalty_kind, lam=float(lam))
 

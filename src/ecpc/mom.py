@@ -9,16 +9,20 @@ linear systems whose solutions are group-level prior variances, means and
 co-data weights.
 
 For p > n both quantities are built through an n x n kernel; C is kept in
-low-rank factor form and never materialised beyond a configurable size, with
-the group sums streaming over row blocks.
+low-rank factor form and never materialised beyond a configurable size.
+Every system is a group average of the rows of ``(C o C) Z`` (``C Z`` for
+the means) for some member sets: groups, half-groups or the pooled groups
+of several sources.  The core streams C once per co-data matrix to form that
+product, keeps it, and each system averages its rows with a sparse matrix.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .codata import CoDataMatrix, GroupSplit, Grouping, build_codata_matrix
@@ -42,7 +46,7 @@ class MomentCore:
     ``C`` is materialised only for small problems; otherwise it is held as a
     low-rank product ``Lc @ Rc`` restricted to the penalised block (columns
     of unpenalised covariates are unit vectors and decouple from the group
-    systems).
+    systems).  Products with co-data matrices are kept per matrix object.
     """
 
     beta_tilde: np.ndarray
@@ -52,6 +56,7 @@ class MomentCore:
     _Lc: np.ndarray | None = None
     _Rc: np.ndarray | None = None
     block_size: int = 1024
+    _products: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -74,6 +79,27 @@ class MomentCore:
         for start in range(0, len(pen), self.block_size):
             rows = np.arange(start, min(start + self.block_size, len(pen)))
             yield rows, self._Lc[rows] @ self._Rc
+
+    def codata_product(self, Z: CoDataMatrix, squared: bool = True) -> np.ndarray:
+        """``(C o C) @ Z.entries`` over the penalised block (``C @ Z.entries``
+        with ``squared=False``), from one pass over C per matrix.
+
+        The result is kept, for the life of the core, next to ``Z`` itself, so
+        the key ``id(Z)`` cannot be reused by another matrix; callers reuse it
+        by passing the same matrix object.
+        """
+        key = (id(Z), squared)
+        if key not in self._products:
+            Zm = Z.entries
+            if Zm.shape[0] != self.n_pen:
+                raise DataError(
+                    "co-data matrix rows must match the penalised covariate count"
+                )
+            out = np.empty((self.n_pen, Zm.shape[1]))
+            for rows, C_rows in self.iter_row_blocks():
+                out[rows] = (C_rows**2 if squared else C_rows) @ Zm
+            self._products[key] = (Z, out)
+        return self._products[key][1]
 
     def matvec_pen(self, x: np.ndarray) -> np.ndarray:
         """C restricted to the penalised block applied to a vector."""
@@ -212,8 +238,25 @@ class MomentSystem:
     group_labels: tuple[str, ...]
 
 
-def _group_average(values: np.ndarray, groups) -> np.ndarray:
-    return np.array([values[list(g)].mean() for g in groups])
+def _average_rows(rows, member_sets, resid, labels, tau: float = 1.0) -> MomentSystem:
+    """Average ``rows`` and ``resid`` over each member set: ``A = tau P rows``.
+
+    ``P`` is the sparse row-averaging matrix with entry ``1/|set|`` in the
+    columns of each set's members.
+    """
+    sizes = np.array([len(m) for m in member_sets], dtype=int)
+    members = np.array([k for m in member_sets for k in m], dtype=int)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    P = sparse.csr_matrix(
+        (np.repeat(1.0 / sizes, sizes), members, indptr),
+        shape=(len(member_sets), len(resid)),
+    )
+    return MomentSystem(A=tau * (P @ rows), b=P @ resid, group_labels=tuple(labels))
+
+
+def _beta_sq_minus_v(core: MomentCore) -> np.ndarray:
+    pen = core.pen_idx
+    return core.beta_tilde[pen] ** 2 - core.v[pen]
 
 
 def build_variance_system(
@@ -236,39 +279,15 @@ def build_variance_system(
     groups = grouping.groups
     if any(len(g) == 0 for g in groups):
         raise DataError("empty group in variance system")
-    Zm = Z.entries
-    p_pen = core.n_pen
-    if Zm.shape[0] != p_pen:
-        raise DataError("co-data matrix rows must match the penalised covariate count")
-    beta = core.beta_tilde[core.pen_idx]
-    v = core.v[core.pen_idx]
-
-    mean_term = np.zeros(p_pen)
+    rows = core.codata_product(Z)
+    resid = _beta_sq_minus_v(core)
     if prior_mean is not None:
         mu = np.asarray(prior_mean, dtype=float)
-        mt = np.zeros(p_pen) if mu_tilde is None else np.asarray(mu_tilde, dtype=float)
+        mt = np.zeros(core.n_pen) if mu_tilde is None else np.asarray(mu_tilde, dtype=float)
         # ((I - C) mu_tilde + C Z mu)^2
-        czmu = core.matvec_pen(Zm @ mu)
-        cmt = core.matvec_pen(mt)
-        mean_term = (mt - cmt + czmu) ** 2
-
-    G = len(groups)
-    A = np.zeros((G, Zm.shape[1]))
-    resid = beta**2 - v - mean_term
-    b = np.zeros(G)
-    member_rows = [np.asarray(g) for g in groups]
-    for rows, C_rows in core.iter_row_blocks():
-        contrib = (C_rows**2) @ Zm
-        for g, members in enumerate(member_rows):
-            sel = members[(members >= rows[0]) & (members <= rows[-1])]
-            if sel.size:
-                A[g] += contrib[sel - rows[0]].sum(axis=0)
-    sizes = np.array([len(g) for g in groups], dtype=float)
-    A = tau_global * A / sizes[:, None]
-    for g, members in enumerate(member_rows):
-        b[g] = resid[members].mean()
-    labels = tuple(f"{grouping.name}:{g}" for g in range(G))
-    return MomentSystem(A=A, b=b, group_labels=labels)
+        resid = resid - (mt - core.matvec_pen(mt) + core.matvec_pen(Z.entries @ mu)) ** 2
+    labels = [f"{grouping.name}:{g}" for g in range(len(groups))]
+    return _average_rows(rows, groups, resid, labels, tau_global)
 
 
 def build_mean_system(
@@ -278,26 +297,12 @@ def build_mean_system(
     mu_tilde=None,
 ) -> MomentSystem:
     """First-moment system for group prior means: ``A = P C Z``."""
-    groups = grouping.groups
-    Zm = Z.entries
-    p_pen = core.n_pen
+    rows = core.codata_product(Z, squared=False)
     beta = core.beta_tilde[core.pen_idx]
-    mt = np.zeros(p_pen) if mu_tilde is None else np.asarray(mu_tilde, dtype=float)
-    G = len(groups)
-    A = np.zeros((G, Zm.shape[1]))
-    member_rows = [np.asarray(g) for g in groups]
-    for rows, C_rows in core.iter_row_blocks():
-        contrib = C_rows @ Zm
-        for g, members in enumerate(member_rows):
-            sel = members[(members >= rows[0]) & (members <= rows[-1])]
-            if sel.size:
-                A[g] += contrib[sel - rows[0]].sum(axis=0)
-    sizes = np.array([len(g) for g in groups], dtype=float)
-    A = A / sizes[:, None]
+    mt = np.zeros(core.n_pen) if mu_tilde is None else np.asarray(mu_tilde, dtype=float)
     rhs = beta - (mt - core.matvec_pen(mt))
-    b = _group_average(rhs, groups)
-    labels = tuple(f"{grouping.name}:{g}" for g in range(G))
-    return MomentSystem(A=A, b=b, group_labels=labels)
+    labels = [f"{grouping.name}:{g}" for g in range(grouping.n_groups)]
+    return _average_rows(rows, grouping.groups, rhs, labels)
 
 
 def build_split_systems(
@@ -315,10 +320,8 @@ def build_split_systems(
     """
     if Z is None:
         Z = build_codata_matrix(grouping)
-    Zm = Z.entries
-    beta = core.beta_tilde[core.pen_idx]
-    v = core.v[core.pen_idx]
-    resid = beta**2 - v
+    rows = core.codata_product(Z)
+    resid = _beta_sq_minus_v(core)
 
     def restricted(parts, tag):
         keep = [g for g, part in enumerate(parts) if len(part) > 0]
@@ -327,19 +330,8 @@ def build_split_systems(
                 f"{len(parts) - len(keep)} group(s) with empty {tag}-part dropped",
                 stacklevel=3,
             )
-        member_rows = [np.asarray(parts[g]) for g in keep]
-        A = np.zeros((len(keep), Zm.shape[1]))
-        for rows, C_rows in core.iter_row_blocks():
-            contrib = (C_rows**2) @ Zm
-            for gi, members in enumerate(member_rows):
-                sel = members[(members >= rows[0]) & (members <= rows[-1])]
-                if sel.size:
-                    A[gi] += contrib[sel - rows[0]].sum(axis=0)
-        sizes = np.array([len(m) for m in member_rows], dtype=float)
-        A = tau_global * A / sizes[:, None]
-        b = np.array([resid[m].mean() for m in member_rows])
-        labels = tuple(f"{grouping.name}:{g}:{tag}" for g in keep)
-        return MomentSystem(A=A, b=b, group_labels=labels)
+        labels = [f"{grouping.name}:{g}:{tag}" for g in keep]
+        return _average_rows(rows, [parts[g] for g in keep], resid, labels, tau_global)
 
     return restricted(split.in_groups, "in"), restricted(split.out_groups, "out")
 
@@ -361,39 +353,19 @@ def build_grouping_weight_system(
     if not (len(codata_matrices) == len(groupings) == len(gamma_hats)):
         raise DataError("one co-data matrix and weight vector per grouping required")
     for Z, grouping, gam in zip(codata_matrices, groupings, gamma_hats):
-        if Z.entries.shape[1] != len(gam):
+        if Z.n_groups != len(gam):
             raise DataError(
-                f"grouping '{grouping.name}': {Z.entries.shape[1]} groups but "
+                f"grouping '{grouping.name}': {Z.n_groups} groups but "
                 f"{len(gam)} fitted weights"
             )
-    Z_all = np.hstack([Z.entries for Z in codata_matrices])
-    beta = core.beta_tilde[core.pen_idx]
-    v = core.v[core.pen_idx]
-    resid = beta**2 - v
-
-    all_groups = []
-    labels = []
-    for grouping in groupings:
-        for g, members in enumerate(grouping.groups):
-            all_groups.append(np.asarray(members))
-            labels.append(f"{grouping.name}:{g}")
-    G_total = len(all_groups)
-    A_pool = np.zeros((G_total, Z_all.shape[1]))
-    for rows, C_rows in core.iter_row_blocks():
-        contrib = (C_rows**2) @ Z_all
-        for gi, members in enumerate(all_groups):
-            sel = members[(members >= rows[0]) & (members <= rows[-1])]
-            if sel.size:
-                A_pool[gi] += contrib[sel - rows[0]].sum(axis=0)
-    sizes = np.array([len(m) for m in all_groups], dtype=float)
-    A_pool /= sizes[:, None]
-
-    D = len(groupings)
-    A_tilde = np.zeros((G_total, D))
-    offset = 0
-    for d, (Z, gam) in enumerate(zip(codata_matrices, gamma_hats)):
-        Gd = Z.entries.shape[1]
-        A_tilde[:, d] = tau_global * A_pool[:, offset : offset + Gd] @ np.asarray(gam)
-        offset += Gd
-    b = np.array([resid[m].mean() for m in all_groups])
-    return MomentSystem(A=A_tilde, b=b, group_labels=tuple(labels))
+    rows = np.column_stack(
+        [
+            core.codata_product(Z) @ np.asarray(gam, dtype=float)
+            for Z, gam in zip(codata_matrices, gamma_hats)
+        ]
+    )
+    groups = [members for grouping in groupings for members in grouping.groups]
+    labels = [
+        f"{grouping.name}:{g}" for grouping in groupings for g in range(grouping.n_groups)
+    ]
+    return _average_rows(rows, groups, _beta_sq_minus_v(core), labels, tau_global)

@@ -13,8 +13,9 @@ from ecpc import (
     predict,
     solve_grouping_weights,
 )
-from ecpc.codata import build_codata_matrix
+from ecpc.codata import build_codata_matrix, build_hierarchy_from_continuous
 from ecpc.glm import PenaltyState, estimate_global_variance, fit_weighted_ridge
+from ecpc.hypershrinkage import solve_hierarchical_lasso
 from ecpc.mom import MomentSystem
 
 
@@ -221,6 +222,26 @@ class TestFitEcpc:
         X, resp, g = gaussian_data(29)
         with pytest.raises(DataError, match="hierarchy"):
             fit_ecpc(X, resp, [g], hyper="hierarchical_lasso")
+
+    def test_hierarchical_lasso_with_missing_annotations(self):
+        rng = np.random.default_rng(37)
+        n, p = 60, 200
+        X = rng.standard_normal((n, p))
+        y = X @ rng.normal(0.0, 0.3, p) + rng.standard_normal(n)
+        vals = rng.uniform(size=p)
+        vals[:7] = np.nan
+        g, tree = build_hierarchy_from_continuous(vals, min_group_size=20)
+        assert g.n_groups == tree.n_nodes + 1
+        model = fit_ecpc(X, ResponseFamily.gaussian(y), [g], hyper="hierarchical_lasso")
+        assert np.isfinite(model.beta).all()
+        assert len(model.gammas[0]) == g.n_groups
+        # the missing-value group is unpenalised: kept at any strength
+        G = g.n_groups
+        A = rng.standard_normal((G, G)) + 2 * np.eye(G)
+        sys = MomentSystem(A=A, b=rng.standard_normal(G), group_labels=("",) * G)
+        out = solve_hierarchical_lasso(sys, tree, 1e9, g.sizes.astype(float))
+        assert out.selected[tree.node_group[tree.root]] and out.selected[G - 1]
+        assert not out.selected[list(tree.leaves)].any()
 
     def test_cox_baseline_stored(self):
         rng = np.random.default_rng(31)

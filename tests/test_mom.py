@@ -5,14 +5,18 @@ from hypothesis import strategies as st
 
 from ecpc import (
     Grouping,
+    MomentCore,
+    ResponseFamily,
     build_codata_matrix,
     build_grouping_weight_system,
     build_mean_system,
     build_split_systems,
     build_variance_system,
     compute_moment_core,
+    fit_ecpc,
     split_groups_random,
 )
+from ecpc import estimator
 from ecpc.codata import GroupSplit
 
 
@@ -113,12 +117,22 @@ class TestVarianceSystem:
     def test_matches_naive_summation_with_overlap(self):
         X, w, omega, beta = rand_instance(6, 9, 7)
         core = compute_moment_core(X, w, omega, beta)
-        g = Grouping(groups=((0, 1, 2, 3), (3, 4, 5, 6), (1, 6)), p=7)
-        Z = build_codata_matrix(g)
-        sys = build_variance_system(core, Z, g)
-        A_ref = naive_variance_A(core.C, Z.entries, g.groups)
-        assert np.allclose(sys.A, A_ref, atol=1e-10)
-        assert (sys.A >= -1e-14).all()
+        stream = compute_moment_core(
+            X, w, omega, beta, materialize_threshold=2, block_size=3
+        )
+        assert stream.C is None
+        for groups in [
+            ((0, 1, 2, 3), (3, 4, 5, 6), (1, 6)),
+            # nested, overlapping and a singleton
+            ((0, 1, 2, 3, 4, 5, 6), (0, 2, 4), (1, 2, 3), (5,)),
+        ]:
+            g = Grouping(groups=groups, p=7)
+            Z = build_codata_matrix(g)
+            A_ref = naive_variance_A(core.C, Z.entries, g.groups)
+            for c in (core, stream):
+                sys = build_variance_system(c, Z, g)
+                assert np.allclose(sys.A, A_ref, atol=1e-10)
+                assert (sys.A >= -1e-14).all()
 
     def test_tau_global_scales_A_only(self):
         X, w, omega, beta = rand_instance(7, 8, 5)
@@ -259,20 +273,25 @@ class TestGroupingWeightSystem:
     def test_two_source_block_assembly(self):
         core, p = self.setup_core(seed=18)
         g1 = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=p, name="a")
-        g2 = Grouping(groups=((0, 3), (1, 4), (2, 5)), p=p, name="b")
-        Z1, Z2 = build_codata_matrix(g1), build_codata_matrix(g2)
+        Z1 = build_codata_matrix(g1)
         gam1 = np.array([0.5, 1.5])
-        gam2 = np.array([2.0, 0.1, 1.0])
         tau = 0.8
-        sys = build_grouping_weight_system(core, [Z1, Z2], [g1, g2], [gam1, gam2], tau)
-        # hand-assembled: pooled rows over all 5 groups, block columns
-        Z_all = np.hstack([Z1.entries, Z2.entries])
-        all_groups = list(g1.groups) + list(g2.groups)
-        A_pool = naive_variance_A(core.C, Z_all, all_groups)
-        A_ref = np.column_stack(
-            [tau * A_pool[:, :2] @ gam1, tau * A_pool[:, 2:] @ gam2]
-        )
-        assert np.allclose(sys.A, A_ref, atol=1e-10)
+        # disjoint, then overlapping second source
+        for groups2 in [((0, 3), (1, 4), (2, 5)), ((0, 1, 3), (1, 4), (2, 4, 5), (0, 5))]:
+            g2 = Grouping(groups=groups2, p=p, name="b")
+            Z2 = build_codata_matrix(g2)
+            gam2 = np.array([2.0, 0.1, 1.0, 0.6])[: len(groups2)]
+            sys = build_grouping_weight_system(
+                core, [Z1, Z2], [g1, g2], [gam1, gam2], tau
+            )
+            # hand-assembled: pooled rows over all groups, block columns
+            Z_all = np.hstack([Z1.entries, Z2.entries])
+            all_groups = list(g1.groups) + list(g2.groups)
+            A_pool = naive_variance_A(core.C, Z_all, all_groups)
+            A_ref = np.column_stack(
+                [tau * A_pool[:, :2] @ gam1, tau * A_pool[:, 2:] @ gam2]
+            )
+            assert np.allclose(sys.A, A_ref, atol=1e-10)
 
     def test_dimension_mismatch(self):
         core, p = self.setup_core(seed=19)
@@ -282,6 +301,49 @@ class TestGroupingWeightSystem:
 
         with pytest.raises(DataError):
             build_grouping_weight_system(core, [Z], [g], [np.ones(3)], 1.0)
+
+
+class TestStreamingPasses:
+    @pytest.mark.parametrize("n_sources,max_passes", [(1, 2), (2, 4)])
+    def test_factored_fit_streams_C_once_per_codata_matrix(
+        self, monkeypatch, n_sources, max_passes
+    ):
+        passes = []
+        iter_row_blocks = MomentCore.iter_row_blocks
+
+        def counted(core):
+            passes.append(1)
+            return iter_row_blocks(core)
+
+        monkeypatch.setattr(MomentCore, "iter_row_blocks", counted)
+        weight_system_passes = []
+        weight_system = estimator.build_grouping_weight_system
+
+        def counted_weight_system(*args, **kwargs):
+            before = len(passes)
+            out = weight_system(*args, **kwargs)
+            weight_system_passes.append(len(passes) - before)
+            return out
+
+        monkeypatch.setattr(
+            estimator, "build_grouping_weight_system", counted_weight_system
+        )
+        rng = np.random.default_rng(21)
+        n, p = 30, 60
+        X = rng.standard_normal((n, p))
+        y = X @ rng.normal(0.0, 0.5, p) + rng.standard_normal(n)
+        sources = [
+            Grouping(groups=tuple(tuple(range(k, k + 15)) for k in range(0, p, 15)), p=p),
+            Grouping(groups=(tuple(range(0, 40)), tuple(range(30, p))), p=p, name="b"),
+        ]
+        fit_ecpc(
+            X,
+            ResponseFamily.gaussian(y),
+            sources[:n_sources],
+            materialize_threshold=p - 1,
+        )
+        assert 0 < len(passes) <= max_passes
+        assert weight_system_passes == ([] if n_sources == 1 else [0])
 
 
 class TestUnpenalizedDecoupling:
