@@ -224,6 +224,7 @@ def fit_ecpc(
                 grid=hyperlambda_grid,
                 tree=trees[d],
                 tau_global=tau_global,
+                Z=Z,
             )
         system = build_variance_system(core, Z, grouping, tau_global=tau_global)
         gw = solve_hyper(
@@ -306,6 +307,13 @@ def fit_ecpc(
             "iterations": int(fit.iterations),
             "initial_converged": bool(fit0.converged),
             "n_dropped": int((~keep).sum()),
+            "global_variance": {
+                "lambda_star": gv.lambda_star,
+                "on_grid_boundary": gv.on_grid_boundary,
+                "n_scores_neg_inf": (
+                    0 if gv.cv_scores is None else int(np.isneginf(gv.cv_scores).sum())
+                ),
+            },
         },
     )
 

@@ -325,13 +325,19 @@ def fit_weighted_ridge(
     pen: PenaltyState,
     max_iter: int = 100,
     tol: float = 1e-8,
+    beta0=None,
 ) -> RidgeFit:
     """Maximise the penalised (partial) log-likelihood under diagonal precision.
 
     Gaussian responses are solved in closed form; binomial and cox by damped
     Newton steps with step halving, so the penalised objective never
-    decreases.  Raises :class:`ConvergenceError` (carrying the last iterate)
-    if the iteration limit is hit.
+    decreases.  ``beta0`` warm-starts the Newton steps (default: zeros).
+    The iteration stops once the penalised score is ``max|score| <
+    1e-8 (1 + |obj|)``, or after three successive steps whose relative
+    objective change is below ``tol`` while ``max|score| < 1e-5 (1 + |obj|)``;
+    a small objective change alone never stops it.  Raises
+    :class:`ConvergenceError` (carrying the last iterate) if the iteration
+    limit is hit.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -351,7 +357,7 @@ def fit_weighted_ridge(
         dev = -2.0 * family_loglik(resp, lp)
         return RidgeFit(beta=beta, linear_predictor=lp, converged=True, iterations=1, deviance=dev)
 
-    beta = np.zeros(p)
+    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
     obj = _penalized_objective(resp, X, beta, omega)
     converged = False
     stalled = 0
@@ -415,6 +421,13 @@ class GlobalVariance:
     grid: np.ndarray | None = None
     cv_scores: np.ndarray | None = None
 
+    @property
+    def on_grid_boundary(self) -> bool:
+        """Whether the cross-validated optimum is the first or last grid point."""
+        if self.cv_scores is None:
+            return False
+        return int(np.argmax(self.cv_scores)) in (0, len(self.grid) - 1)
+
 
 def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarray:
     """Deterministic fold assignment, stratified by class (binomial) or status (cox)."""
@@ -457,7 +470,11 @@ def estimate_global_variance(
     ``y ~ N(0, sigma2 I + tau2 X X')`` over (sigma2, tau2) via the spectrum
     of ``X X'``; a supplied sigma2 is kept fixed.  Binomial/cox: stratified
     k-fold cross-validation over a log-spaced grid of total penalty levels,
-    maximising the held-out log-likelihood; ``tau2 = 1 / lambda_star``.
+    maximising the mean held-out log-likelihood; ``tau2 = 1 / lambda_star``.
+    Each fold fits its penalties from the largest down, each fit warm-started
+    from the previous one (see :func:`_fold_path_scores`).  The first fit
+    that fails to converge, or meets a singular system, scores -inf, and so
+    does every smaller penalty of that fold without being fitted.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -522,62 +539,56 @@ def estimate_global_variance(
         train = ~test
         if resp.family == "binomial" and len(np.unique(resp.y[train])) < 2:
             raise DataError(f"fold {f} leaves a single class in the training split")
-        X_tr, X_te = X[train], X[test]
-        resp_tr, resp_te = resp.subset(train), resp.subset(test)
-        m = int(train.sum())
-        beta = np.zeros(p)
-        for gi, lam in enumerate(grid):
-            # scale the total penalty by the fold's sample fraction so the
-            # per-observation regularisation matches the full-data level
-            omega = np.where(mask, 0.0, lam * m / n)
-            try:
-                fit = _irls_warm(X_tr, resp_tr, omega, beta)
-                beta = fit.beta
-            except (ConvergenceError, SingularSystemError):
-                scores[gi, fi] = -np.inf
-                continue
-            scores[gi, fi] = family_loglik(resp_te, X_te @ beta)
+        # scale the total penalty by the fold's sample fraction so the
+        # per-observation regularisation matches the full-data level
+        scores[:, fi] = _fold_path_scores(
+            X[train],
+            resp.subset(train),
+            X[test],
+            resp.subset(test),
+            mask,
+            grid * train.sum() / n,
+        )
     mean_scores = scores.mean(axis=1)
-    best = int(np.argmax(mean_scores))
-    if best in (0, len(grid) - 1):
-        warnings.warn("global-penalty optimum on the grid boundary", stacklevel=2)
-    lam_star = float(grid[best])
-    return GlobalVariance(
+    lam_star = float(grid[int(np.argmax(mean_scores))])
+    gv = GlobalVariance(
         tau_global=1.0 / lam_star,
         sigma2=None,
         lambda_star=lam_star,
         grid=grid,
         cv_scores=mean_scores,
     )
+    if gv.on_grid_boundary:
+        warnings.warn("global-penalty optimum on the grid boundary", stacklevel=2)
+    return gv
 
 
-def _irls_warm(X, resp, omega, beta0, max_iter=100, tol=1e-8) -> RidgeFit:
-    """Penalised IRLS from a warm start; shares the update rule of fit_weighted_ridge."""
-    beta = np.array(beta0, dtype=float)
-    obj = _penalized_objective(resp, X, beta, omega)
-    for it in range(1, max_iter + 1):
-        lp = X @ beta
-        if resp.family == "binomial":
-            pr = expit(lp)
-            w = np.clip(pr * (1.0 - pr), 1e-12, None)
-            grad = X.T @ (resp.y - pr) - omega * beta
-        else:
-            H0 = breslow_cumhaz(resp.times, resp.status, lp)
-            resid = martingale_residuals(resp.times, resp.status, lp, H0)
-            w = np.clip(H0 * np.exp(lp), 1e-12, None)
-            grad = X.T @ resid - omega * beta
-        step = solve_penalized_system(X, w, omega, grad)
-        t = 1.0
-        new_obj = _penalized_objective(resp, X, beta + t * step, omega)
-        while not np.isfinite(new_obj) or new_obj < obj - 1e-12:
-            t /= 2.0
-            if t < 1e-12:
-                break
-            new_obj = _penalized_objective(resp, X, beta + t * step, omega)
-        beta = beta + t * step
-        done = abs(new_obj - obj) / (abs(obj) + 1.0) < tol
-        obj = new_obj
-        if done:
-            lp = X @ beta
-            return RidgeFit(beta, lp, True, it, -2.0 * family_loglik(resp, lp))
-    raise ConvergenceError("warm-start IRLS did not converge")
+def _fold_path_scores(X_tr, resp_tr, X_te, resp_te, mask, penalties):
+    """Held-out log-likelihood of uniform-penalty ridge fits on one fold.
+
+    With one penalty on every penalised column the fit lies in the row space
+    of the penalised training block, so after one thin SVD
+    ``X_tr[:, pen] = U D V'`` the fits run on the ``m x (rank + #unpenalised)``
+    design ``[U D | X_tr[:, unpen]]`` and are scored on the held-out rows
+    ``[X_te[:, pen] V | X_te[:, unpen]]``.  This is an orthogonal change of
+    coordinates: the Newton iterates equal those on the full design up to
+    rounding.  (The stopping test reads ``max|score|``, which the rotation
+    changes, so a slowly converging fit may stop a step apart.)  The
+    penalties are fitted from the largest down, each warm-started from the
+    one before; the first failure scores -inf, and so do all smaller
+    penalties, which are not fitted.
+    """
+    U, d, Vt = np.linalg.svd(X_tr[:, ~mask], full_matrices=False)
+    Z_tr = np.hstack([U * d, X_tr[:, mask]])
+    Z_te = np.hstack([X_te[:, ~mask] @ Vt.T, X_te[:, mask]])
+    mask_rot = np.arange(Z_tr.shape[1]) >= len(d)
+    scores = np.full(len(penalties), -np.inf)
+    beta = None
+    for k in np.argsort(-penalties, kind="stable"):
+        state = PenaltyState.uniform(1.0 / penalties[k], Z_tr.shape[1], mask_rot)
+        try:
+            beta = fit_weighted_ridge(Z_tr, resp_tr, state, beta0=beta).beta
+        except (ConvergenceError, SingularSystemError):
+            break
+        scores[k] = family_loglik(resp_te, Z_te @ beta)
+    return scores

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codata import Grouping, HierTree, build_codata_matrix, split_groups_random
+from .codata import (
+    CoDataMatrix,
+    Grouping,
+    HierTree,
+    build_codata_matrix,
+    split_groups_random,
+)
 from .errors import ConvergenceError, DataError
 from .mom import MomentCore, MomentSystem, build_split_systems
 
@@ -320,6 +326,7 @@ def estimate_hyperlambda(
     grid: np.ndarray | None = None,
     tree: HierTree | None = None,
     tau_global: float = 1.0,
+    Z: CoDataMatrix | None = None,
 ) -> float:
     """Tune the hyperpenalty strength by random in/out group splits.
 
@@ -327,6 +334,8 @@ def estimate_hyperlambda(
     and scored by the residual sum of squares on the out-half.  The grid
     value with the smallest mean score wins; a winner on the grid boundary
     extends the grid a decade in that direction (up to three times).
+    ``Z`` is the grouping's co-data matrix; passing the caller's own lets
+    the core reuse the product it keeps for that matrix.
     """
     if penalty_kind == "none":
         return 0.0
@@ -336,7 +345,8 @@ def estimate_hyperlambda(
     if grid.size == 0:
         raise DataError("empty hyperpenalty grid")
 
-    Z = build_codata_matrix(grouping)
+    if Z is None:
+        Z = build_codata_matrix(grouping)
     systems = []
     for s in range(n_splits):
         split = split_groups_random(grouping, seed=seed + s)

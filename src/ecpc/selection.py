@@ -79,7 +79,6 @@ def _elnet(
     """
     n, p = X.shape
     beta = np.zeros(p) if beta0 is None else beta0.copy()
-    col_cache = None
     for _outer in range(max_outer):
         lp = X @ beta
         w, z = _working_response(resp, lp)
@@ -247,7 +246,6 @@ def select_dss(
     n = X.shape[0]
     beta_hat = model.beta
     active = np.abs(beta_hat) > 0
-    fitted = X @ beta_hat + model.intercept
 
     gamma = np.zeros(model.p)
     if lam == 0:

@@ -319,6 +319,11 @@ class TestSerialization:
         assert back.sigma2 == model.sigma2
         assert back.family == model.family
         assert back.grouping_names == model.grouping_names
+        assert back.diagnostics["global_variance"] == {
+            "lambda_star": None,
+            "on_grid_boundary": False,
+            "n_scores_neg_inf": 0,
+        }
         Xn = np.random.default_rng(1).standard_normal((5, X.shape[1]))
         assert np.array_equal(predict(back, Xn), predict(model, Xn))
 
@@ -333,6 +338,11 @@ class TestSerialization:
         back = model_from_json(model_to_json(model))
         assert np.array_equal(back.baseline_times, model.baseline_times)
         assert np.array_equal(back.baseline_cumhaz, model.baseline_cumhaz)
+        record = model.diagnostics["global_variance"]
+        assert np.isclose(record["lambda_star"], 1.0 / model.tau_global)
+        assert isinstance(record["on_grid_boundary"], bool)
+        assert isinstance(record["n_scores_neg_inf"], int)
+        assert back.diagnostics == model.diagnostics
 
     def test_rejects_other_documents(self):
         with pytest.raises(DataError):

@@ -15,7 +15,9 @@ from ecpc import (
     fit_weighted_ridge,
     martingale_residuals,
 )
+from ecpc import glm
 from ecpc.glm import (
+    _fold_path_scores,
     family_loglik,
     moment_weights,
     stratified_folds,
@@ -350,6 +352,109 @@ class TestGlobalVariance:
         y = (rng.uniform(size=40) < 0.5).astype(float)
         gv = estimate_global_variance(X, ResponseFamily.binomial(y), n_folds=4, seed=1)
         assert np.isclose(gv.tau_global, 1.0 / gv.lambda_star)
+
+
+def cv_problem(family, seed, n, p, unpenalized):
+    """``p`` penalised covariates, plus one unpenalised column if asked: an
+    intercept for binomial, a covariate for cox (which has no intercept)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p + unpenalized))
+    if unpenalized and family == "binomial":
+        X[:, p] = 1.0
+    mask = np.zeros(X.shape[1], dtype=bool)
+    mask[p:] = True
+    lp = X[:, :p] @ rng.normal(0.0, 0.3, p)
+    if family == "binomial":
+        resp = ResponseFamily.binomial((rng.uniform(size=n) < expit(lp)).astype(float))
+    else:
+        resp = ResponseFamily.cox(
+            rng.exponential(size=n) / np.exp(lp), (rng.uniform(size=n) < 0.7).astype(float)
+        )
+    return X, resp, mask
+
+
+class TestGlobalVarianceCV:
+    @pytest.mark.parametrize("family", ["binomial", "cox"])
+    @pytest.mark.parametrize("unpenalized", [0, 1])
+    @pytest.mark.parametrize("n,p", [(40, 70), (60, 12)])
+    @pytest.mark.parametrize("lam", [5.0, 50.0])
+    def test_rotated_fit_matches_cold_full_fit(
+        self, monkeypatch, family, unpenalized, n, p, lam
+    ):
+        X, resp, mask = cv_problem(family, 16, n, p, unpenalized)
+        test = np.arange(n) % 4 == 0
+        train = ~test
+        fits = []
+        fit = glm.fit_weighted_ridge
+
+        def recorded(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(glm, "fit_weighted_ridge", recorded)
+        resp_tr, resp_te = resp.subset(train), resp.subset(test)
+        (score,) = _fold_path_scores(
+            X[train], resp_tr, X[test], resp_te, mask, np.array([lam])
+        )
+        monkeypatch.undo()
+        # The stopping rule reads max|score|, which the rotation changes, so a
+        # slowly converging cox fit may stop a step earlier in one coordinate
+        # system than in the other.  The reference therefore takes exactly as
+        # many Newton steps from zero on the full design, one call per step.
+        state = PenaltyState.uniform(1.0 / lam, X.shape[1], mask)
+        beta = None
+        for _ in range(fits[0].iterations):
+            try:
+                beta = fit(X[train], resp_tr, state, max_iter=1, beta0=beta).beta
+            except ConvergenceError as err:
+                beta = err.last_iterate.beta
+        ref = family_loglik(resp_te, X[test] @ beta)
+        assert abs(score - ref) <= 1e-8
+
+    def test_newton_solves_stay_in_the_row_space(self, monkeypatch):
+        X, resp, mask = cv_problem("binomial", 17, 40, 100, unpenalized=1)
+        shapes = []
+        solve = glm.solve_penalized_system
+
+        def checked(Xs, *args):
+            shapes.append(Xs.shape)
+            return solve(Xs, *args)
+
+        monkeypatch.setattr(glm, "solve_penalized_system", checked)
+        estimate_global_variance(X, resp, n_folds=4, seed=0, unpenalized_mask=mask)
+        assert shapes
+        assert all(cols <= rows + 1 for rows, cols in shapes)
+
+    def test_no_fit_below_the_first_failure(self, monkeypatch):
+        # p > n cox: the partial likelihood is unbounded, so the smallest
+        # penalties do not converge
+        X, resp, mask = cv_problem("cox", 18, 40, 100, unpenalized=0)
+        calls = []
+        fit = glm.fit_weighted_ridge
+
+        def recorded(Xs, resp_tr, state, **kwargs):
+            try:
+                out = fit(Xs, resp_tr, state, **kwargs)
+            except (ConvergenceError, glm.SingularSystemError):
+                calls.append((1.0 / state.tau_global, False))
+                raise
+            calls.append((1.0 / state.tau_global, True))
+            return out
+
+        monkeypatch.setattr(glm, "fit_weighted_ridge", recorded)
+        gv = estimate_global_variance(X, resp, n_folds=4, seed=0)
+        # a fold's path starts at its largest penalty and only descends
+        starts = [0] + [i for i in range(1, len(calls)) if calls[i][0] > calls[i - 1][0]]
+        assert len(starts) == 4
+        for a, b in zip(starts, starts[1:] + [len(calls)]):
+            fold = calls[a:b]
+            assert all(ok for _, ok in fold[:-1])
+            assert not fold[-1][1]
+            assert len(fold) < len(gv.grid)
+        failed = np.isneginf(gv.cv_scores)
+        k = int(failed.sum())
+        assert 0 < k < len(gv.grid)
+        assert failed[:k].all() and np.isfinite(gv.cv_scores[k:]).all()
 
 
 class TestFamilyChecks:

@@ -304,7 +304,7 @@ class TestGroupingWeightSystem:
 
 
 class TestStreamingPasses:
-    @pytest.mark.parametrize("n_sources,max_passes", [(1, 2), (2, 4)])
+    @pytest.mark.parametrize("n_sources,max_passes", [(1, 1), (2, 2)])
     def test_factored_fit_streams_C_once_per_codata_matrix(
         self, monkeypatch, n_sources, max_passes
     ):
