@@ -251,20 +251,20 @@ def _run_select(method, count, mode, model, X, resp):
         return select_l1(model, X, resp, count, mode=mode)
     if method == "credible":
         return select_credible(model, X, resp, count, mode=mode)
-    # dss is tuned by strength, not count: sweep to reach the count
+    if not 1 <= count <= model.p:
+        raise DataError("target count must be in [1, p]")
+    # dss is tuned by strength, not count: bisect without refits, refit once
     lo, hi = 1e-8, 1e8
-    res = select_dss(model, X, hi, resp=resp, mode=mode)
-    for _ in range(200):
+    while hi / lo > 1.0 + 1e-12:
         mid = np.sqrt(lo * hi)
-        res = select_dss(model, X, mid, resp=resp, mode=mode)
-        got = len(res.selected)
+        got = len(select_dss(model, X, mid).selected)
         if got == count:
             break
         if got > count:
             lo = mid
         else:
             hi = mid
-    return res
+    return select_dss(model, X, mid, resp=resp, mode=mode)
 
 
 def _load_fit_inputs(args):

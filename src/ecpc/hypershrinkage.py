@@ -24,6 +24,7 @@ from .codata import (
     split_groups_random,
 )
 from .errors import ConvergenceError, DataError
+from .glm import elastic_net_cd
 from .mom import MomentCore, MomentSystem, build_split_systems
 
 __all__ = [
@@ -102,28 +103,6 @@ def solve_ridge_hyper(
     return GroupWeights(gamma=gamma, selected=gamma > 0, lambda_used=float(lam))
 
 
-def _lasso_cd(As, b, lam, max_sweeps=10_000, tol=1e-12):
-    """Coordinate descent for ``||As g - b||^2 + lam * ||g||_1``."""
-    G = As.shape[1]
-    col_sq = (As**2).sum(axis=0)
-    g = np.zeros(G)
-    r = b.copy()
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(G):
-            if col_sq[j] == 0:
-                continue
-            rho = 2.0 * (As[:, j] @ r + col_sq[j] * g[j])
-            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / (2.0 * col_sq[j])
-            if new != g[j]:
-                r -= As[:, j] * (new - g[j])
-                delta = max(delta, abs(new - g[j]))
-                g[j] = new
-        if delta < tol:
-            return g
-    raise ConvergenceError("lasso coordinate descent did not converge", last_iterate=g)
-
-
 def solve_lasso_hyper(
     system: MomentSystem,
     lam: float,
@@ -141,7 +120,8 @@ def solve_lasso_hyper(
     b = np.asarray(system.b, dtype=float)
     W = np.asarray(W_gamma, dtype=float)
     As = A / np.sqrt(W)[None, :]
-    g_scaled = _lasso_cd(As, b, lam)
+    # ||As g - b||^2 + lam ||g||_1, halved
+    g_scaled = elastic_net_cd(As, 1.0, b, lam / 2.0)
     selected = np.abs(g_scaled) > 0
     gamma = np.zeros(A.shape[1])
     if selected.any():

@@ -21,6 +21,7 @@ from .glm import (
     PenaltyState,
     ResponseFamily,
     breslow_cumhaz,
+    elastic_net_cd,
     estimate_global_variance,
     fit_weighted_ridge,
     moment_weights,
@@ -69,49 +70,22 @@ def _elnet(
     pen_mask: np.ndarray,
     beta0=None,
     max_outer: int = 100,
-    max_sweeps: int = 2000,
-    tol: float = 1e-10,
 ):
     """Elastic net with per-coordinate ridge precision, by coordinate descent.
 
     Minimises ``-loglik + 0.5 * sum_j ridge_j beta_j^2 + lam1 * sum_{pen} |beta_j|``
     through iterated weighted least-squares approximations.
     """
-    n, p = X.shape
-    beta = np.zeros(p) if beta0 is None else beta0.copy()
+    beta = np.zeros(X.shape[1]) if beta0 is None else beta0
     for _outer in range(max_outer):
         lp = X @ beta
         w, z = _working_response(resp, lp)
-        col_sq = (X**2 * w[:, None]).sum(axis=0)
-        r = w * (z - lp)  # weighted residual, kept in sync coordinate-wise
-        for _sweep in range(max_sweeps):
-            delta = 0.0
-            for j in range(p):
-                denom = col_sq[j] + ridge_prec[j]
-                if denom == 0:
-                    continue
-                rho = X[:, j] @ r + col_sq[j] * beta[j]
-                if pen_mask[j]:
-                    new = np.sign(rho) * max(abs(rho) - lam1, 0.0) / denom
-                else:
-                    new = rho / denom
-                if new != beta[j]:
-                    r -= w * X[:, j] * (new - beta[j])
-                    delta = max(delta, abs(new - beta[j]))
-                    beta[j] = new
-            if delta < tol:
-                break
+        beta = elastic_net_cd(X, w, z, lam1, ridge_prec, pen_mask, beta0=beta)
         if resp.family == "gaussian":
             return beta  # the quadratic model is exact
-        if delta_outer_converged(X, beta, lp, tol):
+        if np.abs(X @ beta - lp).max() < 1e-8 * (1.0 + np.abs(lp).max()):
             return beta
     return beta
-
-
-def delta_outer_converged(X, beta, lp_old, tol):
-    lp = X @ beta
-    denom = 1.0 + np.abs(lp_old).max()
-    return np.abs(lp - lp_old).max() < 1e-8 * denom
 
 
 def _count(beta, pen_mask):
@@ -253,24 +227,7 @@ def select_dss(
     elif active.any():
         # substitute g_j = |beta_hat_j| u_j: uniform L1 on u
         Xa = X[:, active] * np.abs(beta_hat[active])[None, :]
-        target = X @ beta_hat
-        u = np.zeros(Xa.shape[1])
-        col_sq = (Xa**2).sum(axis=0) / n
-        r = (target - Xa @ u) / 1.0
-        thresh = lam / 2.0
-        for _sweep in range(5000):
-            delta = 0.0
-            for j in range(Xa.shape[1]):
-                if col_sq[j] == 0:
-                    continue
-                rho = (Xa[:, j] @ r) / n + col_sq[j] * u[j]
-                new = np.sign(rho) * max(abs(rho) - thresh, 0.0) / col_sq[j]
-                if new != u[j]:
-                    r -= Xa[:, j] * (new - u[j])
-                    delta = max(delta, abs(new - u[j]))
-                    u[j] = new
-            if delta < 1e-12:
-                break
+        u = elastic_net_cd(Xa, 1.0 / n, X @ beta_hat, lam / 2.0)
         gamma[active] = np.abs(beta_hat[active]) * u
 
     selected = np.flatnonzero(np.abs(gamma) > 0)

@@ -165,6 +165,43 @@ class TestFitCommand:
         strong = {f"f{j}" for j in np.flatnonzero(np.abs(beta) > 1.0)}
         assert strong <= chosen
 
+    def test_dss_selection_refits_once(self, tmp_path, monkeypatch):
+        import ecpc.selection
+
+        calls = []
+        refit = ecpc.selection.refit_selected
+
+        def counting_refit(*args, **kwargs):
+            calls.append(1)
+            return refit(*args, **kwargs)
+
+        monkeypatch.setattr(ecpc.selection, "refit_selected", counting_refit)
+        xp, yp, cp, *_ = make_dataset(tmp_path, seed=3)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--command", "fit", "--x", xp, "--y", yp, "--codata", cp,
+                "--out", str(out), "--select", "dss:5:dense",
+            ]
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        with open(out / "selection.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 6
+
+    @pytest.mark.parametrize("count", [0, 21])
+    def test_dss_count_outside_range_exit_2(self, tmp_path, capsys, count):
+        xp, yp, cp, *_ = make_dataset(tmp_path)
+        rc = main(
+            [
+                "--command", "fit", "--x", xp, "--y", yp, "--codata", cp,
+                "--out", str(tmp_path / "o"), "--select", f"dss:{count}:dense",
+            ]
+        )
+        assert rc == 2
+        assert "target count must be in [1, p]" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(
             [

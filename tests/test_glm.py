@@ -457,6 +457,72 @@ class TestGlobalVarianceCV:
         assert failed[:k].all() and np.isfinite(gv.cv_scores[k:]).all()
 
 
+def cd_problem(form, seed, n, p):
+    """One problem in each caller's form: the hyper lasso (unit weights),
+    IRLS selection (working weights, ridge, an unpenalised intercept) and
+    DSS (weights 1/n)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    z = X[:, :3] @ np.array([1.5, -1.0, 0.5]) + rng.standard_normal(n)
+    ridge, pen = None, None
+    if form == "unit":
+        w = 1.0
+    elif form == "irls":
+        w = rng.uniform(0.05, 0.25, n)
+        X[:, -1] = 1.0
+        ridge = rng.uniform(0.1, 2.0, p)
+        ridge[-1] = 0.0
+        pen = np.arange(p) < p - 1
+    else:
+        w = 1.0 / n
+    return X, w, z, ridge, pen
+
+
+class TestElasticNetCD:
+    @given(
+        st.sampled_from(["unit", "irls", "inv_n"]),
+        st.sampled_from([(30, 80), (60, 12)]),
+        st.sampled_from(["cold", "path", "random"]),
+        st.floats(-6.0, 0.08),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kkt_conditions(self, form, shape, start, log_frac, seed):
+        n, p = shape
+        frac = 10.0**log_frac
+        X, w, z, ridge, pen = cd_problem(form, seed, n, p)
+        wv = np.broadcast_to(w, (n,))
+        pen_mask = np.ones(p, dtype=bool) if pen is None else pen
+        ridge_v = np.zeros(p) if ridge is None else ridge
+        lam1 = frac * np.abs(X[:, pen_mask].T @ (wv * z)).max()
+        beta0 = None
+        if start == "path":
+            beta0 = glm.elastic_net_cd(X, w, z, 2.0 * lam1, ridge, pen)
+        elif start == "random":
+            beta0 = np.random.default_rng(seed + 1).standard_normal(p)
+        b = glm.elastic_net_cd(X, w, z, lam1, ridge, pen, beta0=beta0)
+        g = X.T @ (wv * (z - X @ b))
+        tol = 1e-8 * (1.0 + np.abs(g).max())
+        zero = pen_mask & (b == 0)
+        nonzero = pen_mask & (b != 0)
+        assert (np.abs(g[zero]) <= lam1 + tol).all()
+        assert np.allclose(
+            g[nonzero] - ridge_v[nonzero] * b[nonzero],
+            lam1 * np.sign(b[nonzero]),
+            rtol=0.0,
+            atol=tol,
+        )
+        assert np.allclose(g[~pen_mask] - ridge_v[~pen_mask] * b[~pen_mask], 0.0, atol=tol)
+
+    def test_sweep_cap_raises_with_last_iterate(self, monkeypatch):
+        X, w, z, ridge, pen = cd_problem("unit", 0, 30, 80)
+        monkeypatch.setattr(glm, "CD_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            glm.elastic_net_cd(X, w, z, 1.0, ridge, pen)
+        assert info.value.last_iterate.shape == (80,)
+        assert np.abs(info.value.last_iterate).sum() > 0
+
+
 class TestFamilyChecks:
     def test_binomial_rejects_nonbinary(self):
         with pytest.raises(DataError):

@@ -121,9 +121,9 @@ class TestLassoHyper:
             cvxpy.Minimize(cvxpy.sum_squares(As @ g - sys.b) + lam * cvxpy.norm1(g))
         )
         prob.solve()
-        from ecpc.hypershrinkage import _lasso_cd
+        from ecpc.glm import elastic_net_cd
 
-        mine = _lasso_cd(As, sys.b, lam)
+        mine = elastic_net_cd(As, 1.0, sys.b, lam / 2)
         obj = lambda x: ((As @ x - sys.b) ** 2).sum() + lam * np.abs(x).sum()
         assert abs(obj(mine) - prob.value) < 1e-8
 
