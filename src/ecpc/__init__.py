@@ -43,6 +43,7 @@ from .glm import (
 )
 from .hypershrinkage import (
     GroupWeights,
+    HyperLambda,
     HyperPenalty,
     estimate_hyperlambda,
     solve_hierarchical_lasso,
@@ -99,6 +100,7 @@ __all__ = [
     "fit_weighted_ridge",
     "martingale_residuals",
     "GroupWeights",
+    "HyperLambda",
     "HyperPenalty",
     "estimate_hyperlambda",
     "solve_hierarchical_lasso",

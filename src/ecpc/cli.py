@@ -253,6 +253,10 @@ def _run_select(method, count, mode, model, X, resp):
         return select_credible(model, X, resp, count, mode=mode)
     if not 1 <= count <= model.p:
         raise DataError("target count must be in [1, p]")
+    n = X.shape[0]
+    if count > n:
+        # the adaptive lasso keeps at most n covariates
+        raise DataError(f"dss selects at most min(n, p) = {n} covariates, not {count}")
     # dss is tuned by strength, not count: bisect without refits, refit once
     lo, hi = 1e-8, 1e8
     while hi / lo > 1.0 + 1e-12:
@@ -264,7 +268,13 @@ def _run_select(method, count, mode, model, X, resp):
             lo = mid
         else:
             hi = mid
-    return select_dss(model, X, mid, resp=resp, mode=mode)
+    res = select_dss(model, X, mid, resp=resp, mode=mode)
+    if len(res.selected) != count:
+        warnings.warn(
+            f"exact dss count {count} not attainable; selected {len(res.selected)}",
+            stacklevel=2,
+        )
+    return res
 
 
 def _load_fit_inputs(args):

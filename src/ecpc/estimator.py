@@ -28,6 +28,7 @@ from .glm import (
     moment_weights,
 )
 from .hypershrinkage import (
+    HyperLambda,
     HyperPenalty,
     estimate_hyperlambda,
     group_size_scaling,
@@ -202,6 +203,7 @@ def fit_ecpc(
     codata_matrices = [build_codata_matrix(g) for g in codata_list]
     gammas: list[np.ndarray] = []
     hyperlambdas: list[float] = []
+    tuning: list[dict] = []
     trees = [g.tree for g in codata_list]
     for d, (grouping, Z, penalty) in enumerate(
         zip(codata_list, codata_matrices, penalties)
@@ -211,11 +213,11 @@ def fit_ecpc(
                 f"grouping '{grouping.name}' has no hierarchy for kind '{penalty.kind}'"
             )
         if penalty.kind == "none":
-            lam = 0.0
+            choice = HyperLambda(0.0)
         elif forced_hyperlambda is not None:
-            lam = float(forced_hyperlambda)
+            choice = HyperLambda(float(forced_hyperlambda))
         else:
-            lam = estimate_hyperlambda(
+            choice = estimate_hyperlambda(
                 grouping,
                 core,
                 penalty_kind=penalty.kind,
@@ -227,14 +229,21 @@ def fit_ecpc(
                 Z=Z,
             )
         system = build_variance_system(core, Z, grouping, tau_global=tau_global)
-        gw = solve_hyper(
-            system,
-            HyperPenalty(kind=penalty.kind, lam=lam, target=penalty.target),
-            group_size_scaling(grouping),
+        (gw,) = solve_hyper(
+            [system],
+            HyperPenalty(kind=penalty.kind, lam=choice.lam, target=penalty.target),
+            [group_size_scaling(grouping)],
             tree=trees[d],
         )
         gammas.append(gw.gamma)
-        hyperlambdas.append(lam)
+        hyperlambdas.append(choice.lam)
+        tuning.append(
+            {
+                "lambda": choice.lam,
+                "on_grid_boundary": choice.on_grid_boundary,
+                "n_grid_extensions": choice.n_grid_extensions,
+            }
+        )
 
     # step 3: weight the co-data sources against each other
     if len(codata_list) == 1:
@@ -314,6 +323,7 @@ def fit_ecpc(
                     0 if gv.cv_scores is None else int(np.isneginf(gv.cv_scores).sum())
                 ),
             },
+            "hyperlambda": tuning,
         },
     )
 

@@ -12,7 +12,8 @@ groups, scoring each candidate on the held-out half of the system.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .mom import MomentCore, MomentSystem, build_split_systems
 
 __all__ = [
     "HyperPenalty",
+    "HyperLambda",
     "GroupWeights",
     "group_size_scaling",
     "solve_ridge_hyper",
@@ -64,6 +66,15 @@ class GroupWeights:
     selected: np.ndarray
     lambda_used: float
     objective: float | None = None
+
+
+@dataclass(frozen=True)
+class HyperLambda:
+    """A tuned hyperpenalty strength and how the grid search ended."""
+
+    lam: float
+    on_grid_boundary: bool = False
+    n_grid_extensions: int = 0
 
 
 def group_size_scaling(grouping: Grouping) -> np.ndarray:
@@ -123,16 +134,21 @@ def solve_lasso_hyper(
     # ||As g - b||^2 + lam ||g||_1, halved
     g_scaled = elastic_net_cd(As, 1.0, b, lam / 2.0)
     selected = np.abs(g_scaled) > 0
-    gamma = np.zeros(A.shape[1])
+    gamma = _ridge_refit(system, selected, lam, W)
+    return GroupWeights(gamma=gamma, selected=selected, lambda_used=float(lam))
+
+
+def _ridge_refit(system: MomentSystem, selected, lam: float, W) -> np.ndarray:
+    """Ridge weights of the selected groups at strength ``lam``, zero elsewhere."""
+    gamma = np.zeros(len(selected))
     if selected.any():
         sub = MomentSystem(
-            A=A[:, selected],
-            b=b,
+            A=np.asarray(system.A, dtype=float)[:, selected],
+            b=system.b,
             group_labels=tuple(np.asarray(system.group_labels)[selected]),
         )
-        refit = solve_ridge_hyper(sub, lam, W[selected])
-        gamma[selected] = refit.gamma
-    return GroupWeights(gamma=gamma, selected=selected, lambda_used=float(lam))
+        gamma[selected] = solve_ridge_hyper(sub, lam, W[selected]).gamma
+    return gamma
 
 
 def lasso_null_threshold(system: MomentSystem, W_gamma: np.ndarray) -> float:
@@ -141,23 +157,118 @@ def lasso_null_threshold(system: MomentSystem, W_gamma: np.ndarray) -> float:
     return float(np.abs(2.0 * As.T @ np.asarray(system.b, dtype=float)).max())
 
 
-def _latent_paths(tree: HierTree, n_groups: int):
-    """Latent supports and the indices of the penalised latents.
+def _latent_layout(tree: HierTree, n_groups: int):
+    """Latent supports as one flat group-index array, their sizes, a penalty mask.
 
-    One root-to-node group-index path per tree node, then one single-group
-    support per group outside the tree.  Every latent but the root's and
-    those of the groups outside the tree is penalised.
+    One root-to-node path per tree node, then one single-group support per
+    group outside the tree; ``flat`` concatenates them, so latent ``m``
+    owns the ``sizes[m]`` entries of a stacked latent vector that follow
+    ``sum(sizes[:m])``.  Every latent but the root's and those of the
+    groups outside the tree is penalised.
     """
     paths = []
     for node in range(tree.n_nodes):
         path = [tree.node_group[m] for m in tree.path_to_root(node)]
         if any(g >= n_groups for g in path):
             raise DataError("hierarchy references a group outside the system")
-        paths.append(np.asarray(path))
-    outside = sorted(set(range(n_groups)) - set(tree.node_group))
-    paths += [np.array([g]) for g in outside]
-    penalised = [m for m in range(tree.n_nodes) if m != tree.root]
-    return paths, penalised
+        paths.append(path)
+    paths += [[g] for g in sorted(set(range(n_groups)) - set(tree.node_group))]
+    sizes = np.array([len(path) for path in paths])
+    penalised = np.arange(len(paths)) < tree.n_nodes
+    penalised[tree.root] = False
+    return np.concatenate(paths), sizes, penalised
+
+
+def _fista_latents(B, b, sizes, penalised, lam, max_iter, tol):
+    """FISTA on a stack of latent group lasso problems with one latent layout.
+
+    Problem ``s`` minimises ``||B[s] u - b[s]||^2 + lam * sum ||u_m||`` over
+    the stacked latents ``u`` (the penalised blocks of ``sizes``).  Each
+    problem has its own step ``1/L`` and stops once its objective changes by
+    less than ``tol * (1 + |obj|)``; it then leaves the stack with its
+    iterate frozen, so it stops on the iteration it would stop on alone.
+    Returns the latents and their objectives, one row per problem.
+    """
+    starts = np.cumsum(sizes) - sizes
+    lam_pen = lam * penalised
+    # Lipschitz constant of each smooth part's gradient
+    L = 2.0 * np.linalg.norm(B, 2, axis=(1, 2))[:, None] ** 2
+    L[L == 0] = 1.0
+    active = np.arange(B.shape[0])
+    u_out = np.zeros((B.shape[0], B.shape[2]))
+    u = z = u_out.copy()
+    t_mom = 1.0
+    prev_obj = (b * b).sum(axis=1)
+    obj_out = prev_obj.copy()
+    with np.errstate(divide="ignore"):  # a zero latent gets scale 0
+        for _ in range(max_iter):
+            r = (B @ z[:, :, None])[:, :, 0] - b
+            v = z - 2.0 * (r[:, None, :] @ B)[:, 0, :] / L
+            norms = np.sqrt(np.add.reduceat(v * v, starts, axis=1))
+            scale = np.where(penalised, np.maximum(0.0, 1.0 - lam / (L * norms)), 1.0)
+            u_new = v * np.repeat(scale, sizes, axis=1)
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
+            z = u_new + ((t_mom - 1.0) / t_new) * (u_new - u)
+            u, t_mom = u_new, t_new
+            r = (B @ u[:, :, None])[:, :, 0] - b
+            obj = (r * r).sum(axis=1) + (scale * norms) @ lam_pen
+            done = np.abs(prev_obj - obj) < tol * (1.0 + np.abs(obj))
+            if done.any():
+                u_out[active[done]], obj_out[active[done]] = u[done], obj[done]
+                go = ~done
+                if not go.any():
+                    return u_out, obj_out
+                active, B, b, L, u, z, obj = (x[go] for x in (active, B, b, L, u, z, obj))
+            prev_obj = obj
+    warnings.warn("hierarchical lasso reached the iteration cap", stacklevel=4)
+    u_out[active], obj_out[active] = u, prev_obj
+    return u_out, obj_out
+
+
+def _hierarchical_lasso_batch(
+    systems, tree, lam, W_gammas, max_iter: int = 20_000, tol: float = 1e-12
+):
+    """:func:`solve_hierarchical_lasso` on many systems with one FISTA run.
+
+    The systems must have the same groups.  Their scaled latent designs are
+    stacked; a system with fewer equations is padded with zero rows, which
+    change neither its objective nor its gradient.
+    """
+    A = [np.asarray(s.A, dtype=float) for s in systems]
+    b = [np.asarray(s.b, dtype=float) for s in systems]
+    W = [np.asarray(w, dtype=float) for w in W_gammas]
+    G = A[0].shape[1]
+    if any(a.shape[1] != G for a in A):
+        raise DataError("systems solved together must have the same groups")
+    if tree.n_nodes > G:
+        raise DataError(
+            f"hierarchy has {tree.n_nodes} nodes but the system has only {G} groups"
+        )
+    flat, sizes, penalised = _latent_layout(tree, G)
+    if lam == 0:
+        return [
+            GroupWeights(solve_ridge_hyper(s, 0.0, w).gamma, np.ones(G, dtype=bool), 0.0)
+            for s, w in zip(systems, W)
+        ]
+
+    # one column per latent entry: B[s] u = As[s] @ (sum of the latents)
+    B = np.zeros((len(A), max(a.shape[0] for a in A), len(flat)))
+    b_pad = np.zeros(B.shape[:2])
+    for s, (a, rhs, w) in enumerate(zip(A, b, W)):
+        B[s, : len(rhs)] = (a / np.sqrt(w)[None, :])[:, flat]
+        b_pad[s, : len(rhs)] = rhs
+    u, objective = _fista_latents(B, b_pad, sizes, penalised, lam, max_iter, tol)
+
+    latent_norms = np.sqrt(np.add.reduceat(u * u, np.cumsum(sizes) - sizes, axis=1))
+    out = []
+    for s, norms in enumerate(latent_norms):
+        latent_norm_tol = 1e-8 * (1.0 + np.abs(b[s]).max())
+        kept = ~penalised | (norms > latent_norm_tol)
+        selected = np.zeros(G, dtype=bool)
+        selected[flat[np.repeat(kept, sizes)]] = True
+        gamma = _ridge_refit(systems[s], selected, lam, W[s])
+        out.append(GroupWeights(gamma, selected, float(lam), float(objective[s])))
+    return out
 
 
 def solve_hierarchical_lasso(
@@ -178,119 +289,37 @@ def solve_hierarchical_lasso(
     covariates with a missing annotation, gets its own unpenalised latent.
     Any union of root-to-node paths is closed under taking ancestors, so the
     selected node set always is too.  Selected groups are then refit with
-    ridge shrinkage at the same strength.
+    ridge shrinkage at the same strength.  The problem is solved by FISTA
+    (Beck & Teboulle, 2009) on the stacked latents.
     """
-    A = np.asarray(system.A, dtype=float)
-    b = np.asarray(system.b, dtype=float)
-    G = A.shape[1]
-    W = np.asarray(W_gamma, dtype=float)
-    if tree.n_nodes > G:
-        raise DataError(
-            f"hierarchy has {tree.n_nodes} nodes but the system has only {G} groups"
-        )
-    As = A / np.sqrt(W)[None, :]
-    paths, penalised = _latent_paths(tree, G)
-
-    if lam == 0:
-        base = solve_ridge_hyper(system, 0.0, W_gamma)
-        return GroupWeights(
-            gamma=base.gamma, selected=np.ones(G, dtype=bool), lambda_used=0.0
-        )
-
-    # FISTA on the stacked latent variables
-    sizes = [len(p) for p in paths]
-    total = sum(sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-
-    def combine(u):
-        g = np.zeros(G)
-        for m, path in enumerate(paths):
-            g[path] += u[offsets[m] : offsets[m + 1]]
-        return g
-
-    def scatter(grad_g):
-        out = np.empty(total)
-        for m, path in enumerate(paths):
-            out[offsets[m] : offsets[m + 1]] = grad_g[path]
-        return out
-
-    # Lipschitz constant of the smooth part's gradient
-    B_cols = np.hstack([As[:, path] for path in paths])
-    L = 2.0 * np.linalg.norm(B_cols, 2) ** 2
-    if L == 0:
-        L = 1.0
-
-    def objective(u):
-        g = combine(u)
-        pen = sum(
-            np.linalg.norm(u[offsets[m] : offsets[m + 1]])
-            for m in penalised
-        )
-        return float(((As @ g - b) ** 2).sum() + lam * pen)
-
-    u = np.zeros(total)
-    z = u.copy()
-    t_mom = 1.0
-    prev_obj = objective(u)
-    for _ in range(max_iter):
-        g = combine(z)
-        grad_g = 2.0 * As.T @ (As @ g - b)
-        u_new = z - scatter(grad_g) / L
-        for m in penalised:
-            seg = u_new[offsets[m] : offsets[m + 1]]
-            nrm = np.linalg.norm(seg)
-            scale = max(0.0, 1.0 - lam / (L * nrm)) if nrm > 0 else 0.0
-            u_new[offsets[m] : offsets[m + 1]] = seg * scale
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        z = u_new + ((t_mom - 1.0) / t_new) * (u_new - u)
-        u, t_mom = u_new, t_new
-        obj = objective(u)
-        if abs(prev_obj - obj) < tol * (1.0 + abs(obj)):
-            break
-        prev_obj = obj
-    else:
-        warnings.warn("hierarchical lasso reached the iteration cap", stacklevel=2)
-
-    latent_norm_tol = 1e-8 * (1.0 + np.abs(b).max())
-    selected = np.zeros(G, dtype=bool)
-    for m, path in enumerate(paths):
-        seg = u[offsets[m] : offsets[m + 1]]
-        if m not in penalised or np.linalg.norm(seg) > latent_norm_tol:
-            selected[path] = True
-
-    gamma = np.zeros(G)
-    if selected.any():
-        sub = MomentSystem(
-            A=A[:, selected],
-            b=b,
-            group_labels=tuple(np.asarray(system.group_labels)[selected]),
-        )
-        refit = solve_ridge_hyper(sub, lam, W[selected])
-        gamma[selected] = refit.gamma
-    return GroupWeights(
-        gamma=gamma, selected=selected, lambda_used=float(lam), objective=objective(u)
-    )
+    return _hierarchical_lasso_batch([system], tree, lam, [W_gamma], max_iter, tol)[0]
 
 
 def solve_hyper(
-    system: MomentSystem,
+    systems: Sequence[MomentSystem],
     penalty: HyperPenalty,
-    W_gamma: np.ndarray,
+    W_gammas: Sequence[np.ndarray],
     tree: HierTree | None = None,
-) -> GroupWeights:
-    """Dispatch to the solver matching the penalty kind."""
+) -> list[GroupWeights]:
+    """Solve each system, with its group sizes, under the penalty's kind.
+
+    The hierarchical lasso solves all systems in one batched run; the other
+    kinds solve them one by one.
+    """
     kind = penalty.kind
-    if kind == "none":
-        return solve_ridge_hyper(system, 0.0, W_gamma, target=penalty.target)
-    if kind == "ridge":
-        return solve_ridge_hyper(system, penalty.lam, W_gamma, target=penalty.target)
-    if kind == "lasso":
-        return solve_lasso_hyper(system, penalty.lam, W_gamma)
     if kind == "hierarchical_lasso":
         if tree is None:
             raise DataError(f"hyperpenalty kind '{kind}' requires a hierarchy")
-        return solve_hierarchical_lasso(system, tree, penalty.lam, W_gamma)
-    raise DataError(f"unknown hyperpenalty kind '{kind}'")
+        return _hierarchical_lasso_batch(systems, tree, penalty.lam, W_gammas)
+    if kind == "none":
+        solve = lambda s, w: solve_ridge_hyper(s, 0.0, w, target=penalty.target)
+    elif kind == "ridge":
+        solve = lambda s, w: solve_ridge_hyper(s, penalty.lam, w, target=penalty.target)
+    elif kind == "lasso":
+        solve = lambda s, w: solve_lasso_hyper(s, penalty.lam, w)
+    else:
+        raise DataError(f"unknown hyperpenalty kind '{kind}'")
+    return [solve(s, w) for s, w in zip(systems, W_gammas)]
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -307,18 +336,22 @@ def estimate_hyperlambda(
     tree: HierTree | None = None,
     tau_global: float = 1.0,
     Z: CoDataMatrix | None = None,
-) -> float:
+) -> HyperLambda:
     """Tune the hyperpenalty strength by random in/out group splits.
 
     Each group is split in half; the weights are fit on the in-half system
     and scored by the residual sum of squares on the out-half.  The grid
     value with the smallest mean score wins; a winner on the grid boundary
-    extends the grid a decade in that direction (up to three times).
-    ``Z`` is the grouping's co-data matrix; passing the caller's own lets
-    the core reuse the product it keeps for that matrix.
+    extends the grid a decade in that direction, scoring only the new
+    candidates.  If the winner is still on the boundary after three
+    extensions, the search stops with a warning and returns the value at the
+    winner's index in the grid extended once more.  The in-half systems of
+    one candidate are solved in one :func:`solve_hyper` call.  ``Z`` is the
+    grouping's co-data matrix; passing the caller's own lets the core reuse
+    the product it keeps for that matrix.
     """
     if penalty_kind == "none":
-        return 0.0
+        return HyperLambda(0.0)
     if n_splits < 1:
         raise DataError("at least one split required")
     grid = default_lambda_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -327,42 +360,46 @@ def estimate_hyperlambda(
 
     if Z is None:
         Z = build_codata_matrix(grouping)
-    systems = []
+    systems_in, systems_out, sizes_in = [], [], []
     for s in range(n_splits):
         split = split_groups_random(grouping, seed=seed + s)
         sys_in, sys_out = build_split_systems(
             core, grouping, split, Z=Z, tau_global=tau_global
         )
-        sizes_in = np.array([len(part) for part in split.in_groups], dtype=float)
-        sizes_in = np.maximum(sizes_in, 1.0)
-        systems.append((sys_in, sys_out, sizes_in))
-
-    penalty_of = lambda lam: HyperPenalty(kind=penalty_kind, lam=float(lam))
+        systems_in.append(sys_in)
+        systems_out.append(sys_out)
+        sizes = np.array([len(part) for part in split.in_groups], dtype=float)
+        sizes_in.append(np.maximum(sizes, 1.0))
 
     def mean_rss(lam):
-        scores = []
-        for sys_in, sys_out, W_in in systems:
-            try:
-                gw = solve_hyper(sys_in, penalty_of(lam), W_in, tree=tree)
-            except ConvergenceError:
-                return np.inf
-            resid = sys_out.A @ gw.gamma - sys_out.b
-            scores.append(float(resid @ resid))
-        return float(np.mean(scores))
+        penalty = HyperPenalty(kind=penalty_kind, lam=float(lam))
+        try:
+            fits = solve_hyper(systems_in, penalty, sizes_in, tree=tree)
+        except ConvergenceError:
+            return np.inf
+        resids = [s.A @ gw.gamma - s.b for s, gw in zip(systems_out, fits)]
+        return float(np.mean([float(r @ r) for r in resids]))
 
     grid = np.sort(grid)
-    for _extension in range(3):
-        rss = np.array([mean_rss(lam) for lam in grid])
+    scores: dict[float, float] = {}
+    for n_ext in range(3):
+        for lam in grid:
+            if lam not in scores:
+                scores[lam] = mean_rss(lam)
+        rss = np.array([scores[lam] for lam in grid])
         if not np.isfinite(rss).any():
             raise ConvergenceError("no hyperpenalty candidate produced a finite score")
         best = int(np.nanargmin(np.where(np.isfinite(rss), rss, np.nan)))
         if len(grid) == 1:
-            return float(grid[0])
+            return HyperLambda(float(grid[0]))
         step = grid[1] / grid[0]
         if best == 0:
             grid = np.sort(np.concatenate([grid[:1] / step ** np.arange(1, 4), grid]))
         elif best == len(grid) - 1:
             grid = np.sort(np.concatenate([grid, grid[-1:] * step ** np.arange(1, 4)]))
         else:
-            return float(grid[best])
-    return float(grid[best])
+            return HyperLambda(float(grid[best]), n_grid_extensions=n_ext)
+    warnings.warn(
+        "hyperpenalty optimum on the grid boundary after 3 extensions", stacklevel=2
+    )
+    return HyperLambda(float(grid[best]), on_grid_boundary=True, n_grid_extensions=3)

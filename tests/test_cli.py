@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ecpc import ResponseFamily, model_from_json, predict
+from ecpc import Grouping, ResponseFamily, model_from_json, predict
 from ecpc.cli import (
     auc_mann_whitney,
     concordance_index,
@@ -201,6 +201,32 @@ class TestFitCommand:
         )
         assert rc == 2
         assert "target count must be in [1, p]" in capsys.readouterr().err
+
+    def test_dss_count_above_n_exit_2(self, tmp_path, capsys):
+        # p > n: the adaptive lasso keeps at most n = 30 covariates
+        xp, yp, cp, *_ = make_dataset(tmp_path, n=30, p=40)
+        rc = main(
+            [
+                "--command", "fit", "--x", xp, "--y", yp, "--codata", cp,
+                "--out", str(tmp_path / "o"), "--select", "dss:31:dense",
+            ]
+        )
+        assert rc == 2
+        assert "at most min(n, p) = 30" in capsys.readouterr().err
+
+    def test_dss_unattainable_count_warns(self, tmp_path):
+        from ecpc import fit_ecpc
+        from ecpc.cli import _run_select
+
+        *_, X, beta, _ = make_dataset(tmp_path)
+        y = X @ beta + np.random.default_rng(1).standard_normal(X.shape[0])
+        resp = ResponseFamily.gaussian(y)
+        model = fit_ecpc(X, resp, [Grouping(groups=(tuple(range(20)),), p=20)])
+        # only three covariates left to select from
+        model.beta[3:] = 0.0
+        with pytest.warns(UserWarning, match="dss count 5 not attainable; selected 3"):
+            res = _run_select("dss", 5, "dense", model, X, resp)
+        assert len(res.selected) == 3
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(

@@ -344,6 +344,22 @@ class TestSerialization:
         assert isinstance(record["n_scores_neg_inf"], int)
         assert back.diagnostics == model.diagnostics
 
+    def test_round_trip_hyperlambda_record(self):
+        X, resp, g = gaussian_data(37)
+        # the optimum (near 5.6) lies above what three extensions of this grid reach
+        with pytest.warns(UserWarning, match="grid boundary after 3 extensions"):
+            model = fit_ecpc(
+                X, resp, [g, g], hyper=["ridge", "none"], hyperlambda_grid=[1e-9, 1e-8]
+            )
+        assert model.diagnostics["hyperlambda"] == [
+            {"lambda": model.hyperlambdas[0], "on_grid_boundary": True, "n_grid_extensions": 3},
+            {"lambda": 0.0, "on_grid_boundary": False, "n_grid_extensions": 0},
+        ]
+        back = model_from_json(model_to_json(model))
+        assert back.diagnostics == model.diagnostics
+        tuned = fit_ecpc(X, resp, [g]).diagnostics["hyperlambda"]
+        assert not tuned[0]["on_grid_boundary"] and tuned[0]["n_grid_extensions"] == 0
+
     def test_rejects_other_documents(self):
         with pytest.raises(DataError):
             model_from_json('{"format": "something-else"}')

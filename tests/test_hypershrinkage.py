@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,15 @@ from ecpc import (
     solve_ridge_hyper,
 )
 from ecpc.hypershrinkage import (
+    HyperPenalty,
+    _fista_latents,
+    _hierarchical_lasso_batch,
+    _latent_layout,
     group_size_scaling,
     lasso_null_threshold,
+    solve_hyper,
 )
 from ecpc.mom import MomentSystem
-
-cvxpy = pytest.importorskip("cvxpy")
 
 
 def rand_system(seed, G):
@@ -33,6 +38,75 @@ BALANCED_TREE = HierTree(
     parent=(None, 0, 1, 1, 0, 4, 4),
     leaves=(2, 3, 5, 6),
 )
+
+
+def hier_case(seed, G):
+    """A random system for BALANCED_TREE; with G = 8, group 7 is outside the tree."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((G, G)) + 2 * np.eye(G)
+    b = rng.standard_normal(G)
+    W = rng.uniform(1.0, 6.0, G)
+    return MomentSystem(A=A, b=b, group_labels=tuple(map(str, range(G)))), W
+
+
+def loop_reference(sys, W, lam):
+    """The per-latent FISTA loop the batched solver replaced, on BALANCED_TREE.
+
+    Returns the selected groups, the refit weights and the objective.
+    """
+    G = len(W)
+    As = sys.A / np.sqrt(W)
+    tree = BALANCED_TREE
+    paths = [[tree.node_group[m] for m in tree.path_to_root(node)] for node in range(7)]
+    paths += [[g] for g in range(7, G)]
+    penalised = [m for m in range(7) if m != tree.root]
+    offsets = np.concatenate([[0], np.cumsum([len(path) for path in paths])])
+    segments = [slice(offsets[m], offsets[m + 1]) for m in range(len(paths))]
+
+    def combine(u):
+        g = np.zeros(G)
+        for path, seg in zip(paths, segments):
+            g[path] += u[seg]
+        return g
+
+    def objective(u):
+        pen = sum(np.linalg.norm(u[segments[m]]) for m in penalised)
+        return float(((As @ combine(u) - sys.b) ** 2).sum() + lam * pen)
+
+    L = 2.0 * np.linalg.norm(np.hstack([As[:, path] for path in paths]), 2) ** 2
+    u = np.zeros(offsets[-1])
+    z, t_mom, prev_obj = u.copy(), 1.0, objective(u)
+    for _ in range(20_000):
+        grad_g = 2.0 * As.T @ (As @ combine(z) - sys.b)
+        u_new = z - np.concatenate([grad_g[path] for path in paths]) / L
+        for m in penalised:
+            nrm = np.linalg.norm(u_new[segments[m]])
+            u_new[segments[m]] *= max(0.0, 1.0 - lam / (L * nrm)) if nrm > 0 else 0.0
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
+        z = u_new + ((t_mom - 1.0) / t_new) * (u_new - u)
+        u, t_mom = u_new, t_new
+        obj = objective(u)
+        if abs(prev_obj - obj) < 1e-12 * (1.0 + abs(obj)):
+            break
+        prev_obj = obj
+    selected = np.zeros(G, dtype=bool)
+    for m, (path, seg) in enumerate(zip(paths, segments)):
+        if m not in penalised or np.linalg.norm(u[seg]) > 1e-8 * (1.0 + np.abs(sys.b).max()):
+            selected[path] = True
+    sub = MomentSystem(A=sys.A[:, selected], b=sys.b, group_labels=("",) * selected.sum())
+    gamma = np.zeros(G)
+    gamma[selected] = solve_ridge_hyper(sub, lam, W[selected]).gamma
+    return selected, gamma, objective(u)
+
+
+def solve_capped(systems, Ws, lam, max_iter):
+    """Batch solve with an iteration cap; returns the fits and whether it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = _hierarchical_lasso_batch(
+            systems, BALANCED_TREE, lam, Ws, max_iter=max_iter, tol=1e-12
+        )
+    return fits, any("iteration cap" in str(w.message) for w in caught)
 
 
 class TestSizeScaling:
@@ -67,6 +141,7 @@ class TestRidgeHyper:
         assert np.allclose(out.gamma, ref, atol=1e-10)
 
     def test_matches_qp_oracle(self):
+        cvxpy = pytest.importorskip("cvxpy")
         sys = rand_system(3, 6)
         W = np.array([2.0, 5.0, 3.0, 7.0, 4.0, 6.0])
         lam = 2.4
@@ -79,6 +154,28 @@ class TestRidgeHyper:
         ref = np.maximum(gp.value / sqw, 0.0)
         out = solve_ridge_hyper(sys, lam, W)
         assert np.allclose(out.gamma, ref, atol=1e-8)
+
+    @given(st.integers(0, 200), st.sampled_from([0.0, 1e-3, 0.7, 30.0]), st.floats(0.2, 3.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_closed_form(self, seed, lam, target):
+        rng = np.random.default_rng(seed)
+        G, m = 5, 8
+        sys = MomentSystem(
+            A=rng.standard_normal((m, G)), b=rng.standard_normal(m), group_labels=("",) * G
+        )
+        W = rng.uniform(1.0, 8.0, G)
+        sqw = np.sqrt(W)
+        As = sys.A / sqw
+        if lam == 0:
+            g_scaled = np.linalg.lstsq(As, sys.b, rcond=None)[0]
+        else:
+            g_scaled = np.linalg.inv(As.T @ As + lam * np.eye(G)) @ (
+                As.T @ sys.b + lam * sqw * target
+            )
+        ref = np.maximum(0.0, g_scaled / sqw)
+        out = solve_ridge_hyper(sys, lam, W, target=target)
+        assert np.allclose(out.gamma, ref, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(out.selected, ref > 0)
 
     def test_nonnegative_always(self):
         for seed in range(10):
@@ -112,6 +209,7 @@ class TestLassoHyper:
         )
 
     def test_first_stage_matches_proximal_oracle(self):
+        cvxpy = pytest.importorskip("cvxpy")
         sys = rand_system(7, 6)
         W = np.array([3.0, 2.0, 5.0, 4.0, 2.0, 6.0])
         lam = 0.5 * lasso_null_threshold(sys, W)
@@ -154,6 +252,7 @@ class TestHierarchicalLasso:
         assert out.selected.all()
 
     def test_objective_matches_convex_oracle(self):
+        cvxpy = pytest.importorskip("cvxpy")
         for seed, lam in [(10, 0.5), (11, 2.0), (12, 8.0)]:
             sys = rand_system(seed, 7)
             rng = np.random.default_rng(seed)
@@ -201,6 +300,109 @@ class TestHierarchicalLasso:
         with pytest.raises(DataError):
             solve_hierarchical_lasso(rand_system(13, 5), BALANCED_TREE, 1.0, np.ones(5))
 
+    @given(st.integers(0, 39), st.sampled_from([7, 8]), st.sampled_from([0.05, 0.5, 2.0, 8.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_block_kkt_conditions(self, seed, G, lam):
+        # minimiser of ||B u - b||^2 + lam * sum_pen ||u_m||: with g = 2 B'(B u - b),
+        # g_m = -lam u_m / ||u_m|| on non-zero penalised latents, ||g_m|| <= lam on
+        # zero ones, and g_m = 0 on unpenalised ones (root, groups outside the tree)
+        sys, W = hier_case(seed, G)
+        flat, sizes, penalised = _latent_layout(BALANCED_TREE, G)
+        tree = BALANCED_TREE
+        paths = [[tree.node_group[m] for m in tree.path_to_root(node)] for node in range(7)]
+        paths += [[g] for g in range(7, G)]
+        assert np.array_equal(flat, np.concatenate(paths))
+        assert np.array_equal(sizes, [len(path) for path in paths])
+        expected = [m != tree.root and m < 7 for m in range(len(paths))]
+        assert np.array_equal(penalised, expected)
+        B = (sys.A / np.sqrt(W))[:, flat]
+        u, obj = _fista_latents(B[None], sys.b[None], sizes, penalised, lam, 20_000, 1e-12)
+        u = u[0]
+        grad = 2.0 * B.T @ (B @ u - sys.b)
+        scale = lam + np.abs(2.0 * B.T @ sys.b).max()
+        bounds = np.cumsum(sizes)[:-1]
+        for g_m, u_m, pen in zip(np.split(grad, bounds), np.split(u, bounds), penalised):
+            nrm = np.linalg.norm(u_m)
+            if not pen:
+                residual = np.linalg.norm(g_m)
+            elif nrm > 0:
+                residual = np.linalg.norm(g_m + lam * u_m / nrm)
+            else:
+                residual = max(0.0, np.linalg.norm(g_m) - lam)
+            assert residual <= 1e-3 * scale
+        norms = np.array([np.linalg.norm(u_m) for u_m in np.split(u, bounds)])
+        assert np.isclose(
+            obj[0], ((B @ u - sys.b) ** 2).sum() + lam * norms[penalised].sum(), rtol=1e-12
+        )
+        out = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
+        assert abs(out.objective - obj[0]) <= 1e-12 * obj[0]
+        kept = ~penalised | (norms > 1e-8 * (1.0 + np.abs(sys.b).max()))
+        in_kept = np.isin(np.arange(G), flat[np.repeat(kept, sizes)])
+        assert np.array_equal(out.selected, in_kept)
+
+    @given(st.integers(0, 39), st.sampled_from([7, 8]), st.sampled_from([0.05, 0.5, 2.0, 8.0]))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_loop_reference(self, seed, G, lam):
+        # same iteration, summed in another order: equal up to rounding
+        sys, W = hier_case(seed, G)
+        selected, gamma, objective = loop_reference(sys, W, lam)
+        out = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
+        assert np.array_equal(out.selected, selected)
+        assert np.abs(out.gamma - gamma).max() <= 1e-12
+        assert abs(out.objective - objective) <= 1e-12
+
+    @given(
+        st.lists(st.integers(0, 39), min_size=6, max_size=6, unique=True),
+        st.sampled_from([7, 8]),
+        st.sampled_from([0.05, 0.5, 2.0, 8.0]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_objective_matches_long_run(self, seeds, G, lam):
+        cases = [hier_case(seed, G) for seed in seeds]
+        systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
+        penalty = HyperPenalty(kind="hierarchical_lasso", lam=lam)
+        fits = solve_hyper(systems, penalty, Ws, tree=BALANCED_TREE)
+        with pytest.warns(UserWarning, match="iteration cap"):
+            long = _hierarchical_lasso_batch(
+                systems, BALANCED_TREE, lam, Ws, max_iter=10_000, tol=0.0
+            )
+        for fit, ref in zip(fits, long):
+            assert abs(fit.objective - ref.objective) <= 1e-5 * (1.0 + abs(ref.objective))
+
+    @pytest.mark.parametrize("G", [7, 8])
+    def test_batch_equals_alone(self, G):
+        lam = 2.0
+        cases = [hier_case(seed, G) for seed in range(6)]
+        # one system loses an equation, so the stack is padded
+        sys0, W0 = cases[0]
+        sys0 = MomentSystem(A=sys0.A[:-1], b=sys0.b[:-1], group_labels=sys0.group_labels)
+        cases[0] = (sys0, W0)
+        systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
+        # the problems stop on different iterations: some within 300, some later
+        warned = [solve_capped([s], [W], lam, 300)[1] for s, W in cases]
+        assert any(warned) and not all(warned)
+
+        penalty = HyperPenalty(kind="hierarchical_lasso", lam=lam)
+        batch = solve_hyper(systems, penalty, Ws, tree=BALANCED_TREE)
+        for (sys, W), got in zip(cases, batch):
+            alone = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
+            assert np.array_equal(got.selected, alone.selected)
+            assert np.abs(got.gamma - alone.gamma).max() <= 1e-12
+            assert abs(got.objective - alone.objective) <= 1e-12
+
+        capped, batch_warned = solve_capped(systems, Ws, lam, 300)
+        assert batch_warned
+        for (sys, W), got in zip(cases, capped):
+            (alone,), _ = solve_capped([sys], [W], lam, 300)
+            assert np.array_equal(got.selected, alone.selected)
+            assert np.abs(got.gamma - alone.gamma).max() <= 1e-12
+            assert abs(got.objective - alone.objective) <= 1e-12
+
+    def test_iteration_cap_warns(self):
+        sys, W = hier_case(0, 7)
+        with pytest.warns(UserWarning, match="iteration cap"):
+            solve_hierarchical_lasso(sys, BALANCED_TREE, 0.5, W, max_iter=5)
+
 
 def _core_and_grouping(seed=21, n=20, p=12, G=4):
     rng = np.random.default_rng(seed)
@@ -216,8 +418,8 @@ def _core_and_grouping(seed=21, n=20, p=12, G=4):
 class TestEstimateHyperlambda:
     def test_single_candidate_returned(self):
         core, g = _core_and_grouping()
-        lam = estimate_hyperlambda(g, core, n_splits=2, seed=0, grid=np.array([3.3]))
-        assert lam == 3.3
+        choice = estimate_hyperlambda(g, core, n_splits=2, seed=0, grid=np.array([3.3]))
+        assert choice.lam == 3.3
 
     def test_deterministic(self):
         core, g = _core_and_grouping()
@@ -240,7 +442,6 @@ class TestEstimateHyperlambda:
             rss_direct.append(r @ r)
         expected = np.mean(rss_direct)
 
-        from ecpc.hypershrinkage import HyperPenalty, solve_hyper
         from ecpc.mom import build_split_systems as bss
 
         scores = []
@@ -248,11 +449,24 @@ class TestEstimateHyperlambda:
             split = split_groups_random(g, seed=100 + s)
             sys_in, sys_out = bss(core, g, split)
             sizes_in = np.array([len(p_) for p_ in split.in_groups], dtype=float)
-            gw = solve_hyper(sys_in, HyperPenalty(kind="ridge", lam=1e12), sizes_in)
+            (gw,) = solve_hyper([sys_in], HyperPenalty(kind="ridge", lam=1e12), [sizes_in])
             r = sys_out.A @ gw.gamma - sys_out.b
             scores.append(r @ r)
         assert np.isclose(np.mean(scores), expected, rtol=1e-4)
 
+    def test_grid_boundary_recorded_and_warned(self):
+        core, g = _core_and_grouping()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = estimate_hyperlambda(g, core, n_splits=3)
+            once = estimate_hyperlambda(g, core, n_splits=3, grid=[1e-3, 1e-2, 1e-1])
+        assert not inside.on_grid_boundary and inside.n_grid_extensions == 0
+        assert not once.on_grid_boundary and once.n_grid_extensions == 1
+        # the optimum lies far below this grid: three extensions do not reach it
+        with pytest.warns(UserWarning, match="grid boundary"):
+            edge = estimate_hyperlambda(g, core, n_splits=3, grid=np.array([1e6, 1e7]))
+        assert edge.on_grid_boundary and edge.n_grid_extensions == 3
+
     def test_none_kind_returns_zero(self):
         core, g = _core_and_grouping()
-        assert estimate_hyperlambda(g, core, penalty_kind="none") == 0.0
+        assert estimate_hyperlambda(g, core, penalty_kind="none").lam == 0.0
