@@ -146,7 +146,6 @@ def fit_ecpc(
     seed: int = 0,
     hyperlambda_grid=None,
     forced_hyperlambda: float | None = None,
-    materialize_threshold: int = 5000,
 ) -> FittedModel:
     """Fit a co-data adaptive ridge model.
 
@@ -191,13 +190,7 @@ def fit_ecpc(
     if resp.family == "cox":
         H0 = breslow_cumhaz(resp.times, resp.status, fit0.linear_predictor)
     W = moment_weights(resp_fit, fit0, H0=H0)
-    core = compute_moment_core(
-        X_aug,
-        W,
-        state0.precision_diag,
-        fit0.beta,
-        materialize_threshold=materialize_threshold,
-    )
+    core = compute_moment_core(X_aug, W, state0.precision_diag, fit0.beta)
 
     # step 2: per co-data source, hyperpenalty strength then group weights
     codata_matrices = [build_codata_matrix(g) for g in codata_list]

@@ -175,42 +175,36 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
 
     pen = omega > 0
     unp = ~pen
+    sq = np.sqrt(omega[pen])
+    S = np.sqrt(w)[:, None] * X[:, pen] / sq  # W^{1/2} X_P Omega_P^{-1/2}
+    K = np.eye(n) + S @ S.T
+    try:
+        cK = cho_factor(K)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(f"dual kernel singular (cond={np.linalg.cond(K):.3e})")
+    u = int(unp.sum())
+    if u:
+        # one Woodbury solve for the coupling block and the penalised rhs
+        Xu = X[:, unp]
+        M_pu = (X[:, pen].T * w) @ Xu
+        Bp = np.hstack([M_pu, B[pen]])
+    else:
+        Bp = B
+    # M_PP^{-1} = Omega_P^{-1/2} (I - S' K^{-1} S) Omega_P^{-1/2}
+    Bs = Bp / sq[:, None]
+    Zp = (Bs - S.T @ cho_solve(cK, S @ Bs)) / sq[:, None]
+    if not u:
+        return Zp[:, 0] if single else Zp
 
-    def solve_pen_block(Bp):
-        # Woodbury on the penalised block: M_PP = Xp' W Xp + diag(omega_p)
-        Xp = X[:, pen]
-        om = omega[pen]
-        S = (np.sqrt(w)[:, None] * Xp) / np.sqrt(om)[None, :]
-        K = np.eye(n) + S @ S.T
-        try:
-            cK = cho_factor(K)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(
-                f"dual kernel singular (cond={np.linalg.cond(K):.3e})"
-            )
-        Bs = Bp / np.sqrt(om)[:, None]
-        Z = Bs - S.T @ cho_solve(cK, S @ Bs)
-        return Z / np.sqrt(om)[:, None]
-
-    if not unp.any():
-        Z = solve_pen_block(B)
-        return Z[:, 0] if single else Z
-
-    Xu = X[:, unp]
-    Xp = X[:, pen]
-    M_pu = (Xp.T * w) @ Xu
-    M_uu = (Xu.T * w) @ Xu
-    Bp, Bu = B[pen], B[unp]
-    Minv_pu = solve_pen_block(M_pu)
-    Minv_bp = solve_pen_block(Bp)
-    schur = M_uu - M_pu.T @ Minv_pu
+    Minv_pu, Minv_bp = Zp[:, :u], Zp[:, u:]
+    schur = (Xu.T * w) @ Xu - M_pu.T @ Minv_pu
     try:
         cS = cho_factor(schur)
     except np.linalg.LinAlgError:
         raise SingularSystemError(
             f"unpenalised block not identifiable (cond={np.linalg.cond(schur):.3e})"
         )
-    Zu = cho_solve(cS, Bu - M_pu.T @ Minv_bp)
+    Zu = cho_solve(cS, B[unp] - M_pu.T @ Minv_bp)
     Zp = Minv_bp - Minv_pu @ Zu
     Z = np.zeros_like(B)
     Z[pen] = Zp

@@ -57,19 +57,28 @@ class TestGaussianRidge:
         assert np.allclose(fit.beta, ref, atol=1e-8)
         assert np.allclose(fit.linear_predictor, X @ fit.beta, atol=1e-10)
 
-    def test_primal_and_dual_paths_agree(self):
-        # same problem solved with p <= n and, after duplicating columns of
-        # zeros into extra rows, p > n: compare against the closed form both ways
-        X, y = rand_problem(2, 12, 9)
-        state = PenaltyState.uniform(0.7, 9)
-        fit_primal = fit_weighted_ridge(X, ResponseFamily.gaussian(y, sigma2=1.0), state)
-        X2, y2 = rand_problem(3, 6, 11)
-        state2 = PenaltyState.uniform(0.7, 11)
-        fit_dual = fit_weighted_ridge(X2, ResponseFamily.gaussian(y2, sigma2=1.0), state2)
-        ref2 = np.linalg.solve(X2.T @ X2 + np.diag(state2.precision_diag), X2.T @ y2)
-        assert np.allclose(fit_dual.beta, ref2, atol=1e-8)
-        ref1 = np.linalg.solve(X.T @ X + np.diag(state.precision_diag), X.T @ y)
-        assert np.allclose(fit_primal.beta, ref1, atol=1e-8)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(4, 12),
+        st.sampled_from(["p<n", "p=n", "p>n"]),
+        st.integers(0, 2),
+        st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_primal_and_dual_paths_agree(self, seed, n, shape, n_unpen, n_rhs):
+        # p <= n takes the primal Cholesky, p > n the dual kernel with a Schur
+        # complement for unpenalised columns; both must match a dense solve
+        p = {"p<n": n - 2, "p=n": n, "p>n": 2 * n + 3}[shape]
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        w = rng.uniform(0.5, 2.0, n)
+        omega = rng.uniform(0.3, 3.0, p)
+        omega[:n_unpen] = 0.0
+        rhs = rng.standard_normal(p if n_rhs is None else (p, n_rhs))
+        Z = glm.solve_penalized_system(X, w, omega, rhs)
+        ref = np.linalg.solve((X.T * w) @ X + np.diag(omega), rhs)
+        assert Z.shape == ref.shape
+        assert np.abs(Z - ref).max() <= 1e-8 * np.abs(ref).max()
 
     def test_column_rescaling_equivariance(self):
         X, y = rand_problem(4, 15, 6)

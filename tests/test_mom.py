@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from ecpc import (
     fit_ecpc,
     split_groups_random,
 )
-from ecpc import estimator
+from ecpc import estimator, mom
 from ecpc.codata import GroupSplit
 
 
@@ -80,16 +82,40 @@ class TestMomentCore:
         assert np.allclose(core.C, C_ref, atol=1e-8)
         assert np.allclose(core.v, v_ref, atol=1e-8)
 
-    def test_streaming_blocks_match_dense(self):
-        X, w, omega, beta = rand_instance(4, 9, 7)
-        dense = compute_moment_core(X, w, omega, beta)
-        stream = compute_moment_core(
-            X, w, omega, beta, materialize_threshold=2, block_size=3
-        )
-        pen = stream.pen_idx
-        C_pp = np.vstack([rows for _, rows in stream.iter_row_blocks()])
-        assert np.allclose(C_pp, dense.C[np.ix_(pen, pen)], atol=1e-10)
-        assert np.allclose(stream.v, dense.v, atol=1e-10)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(8, 14),
+        st.sampled_from(["p<n", "p=n", "p>n"]),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_core_over_shapes(self, seed, n, shape, n_unpen):
+        p = {"p<n": n - 2, "p=n": n, "p>n": 2 * n + 3}[shape]
+        X, w, omega, beta = rand_instance(seed, n, p, unpen=range(n_unpen))
+        C_ref, v_ref = naive_core(X, w, omega)
+        with pytest.MonkeyPatch.context() as mp:
+            # several row blocks per pass over C
+            mp.setattr(mom, "ROW_BLOCK", 3)
+            core = compute_moment_core(X, w, omega, beta)
+            blocks = list(core.iter_row_blocks())
+        assert len(blocks) > 1
+        pen = core.pen_idx
+        assert np.abs(core.C - C_ref).max() <= 1e-8
+        assert np.abs(core.v - v_ref).max() <= 1e-8
+        C_pp = np.vstack([rows for _, rows in blocks])
+        assert np.abs(C_pp - C_ref[np.ix_(pen, pen)]).max() <= 1e-8
+
+    def test_no_quadratic_allocation(self):
+        # the core keeps n x p factors; a p x p matrix would be 200 n p floats
+        n, p = 20, 4000
+        X, w, omega, beta = rand_instance(22, n, p)
+        tracemalloc.start()
+        try:
+            compute_moment_core(X, w, omega, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n * p * 8
 
     @given(st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
@@ -114,13 +140,9 @@ class TestVarianceSystem:
         assert np.isclose(sys.b[0], (beta**2 - core.v).mean(), atol=1e-10)
         assert sys.A[0, 0] > 0
 
-    def test_matches_naive_summation_with_overlap(self):
+    def test_matches_naive_summation_with_overlap(self, monkeypatch):
         X, w, omega, beta = rand_instance(6, 9, 7)
         core = compute_moment_core(X, w, omega, beta)
-        stream = compute_moment_core(
-            X, w, omega, beta, materialize_threshold=2, block_size=3
-        )
-        assert stream.C is None
         for groups in [
             ((0, 1, 2, 3), (3, 4, 5, 6), (1, 6)),
             # nested, overlapping and a singleton
@@ -129,8 +151,10 @@ class TestVarianceSystem:
             g = Grouping(groups=groups, p=7)
             Z = build_codata_matrix(g)
             A_ref = naive_variance_A(core.C, Z.entries, g.groups)
-            for c in (core, stream):
-                sys = build_variance_system(c, Z, g)
+            # one block per pass, then blocks of three rows
+            for row_block in (mom.ROW_BLOCK, 3):
+                monkeypatch.setattr(mom, "ROW_BLOCK", row_block)
+                sys = build_variance_system(compute_moment_core(X, w, omega, beta), Z, g)
                 assert np.allclose(sys.A, A_ref, atol=1e-10)
                 assert (sys.A >= -1e-14).all()
 
@@ -143,30 +167,6 @@ class TestVarianceSystem:
         s2 = build_variance_system(core, Z, g, tau_global=0.25)
         assert np.allclose(s2.A, 0.25 * s1.A, atol=1e-12)
         assert np.allclose(s2.b, s1.b, atol=1e-12)
-
-    def test_prior_mean_term(self):
-        X, w, omega, beta = rand_instance(8, 8, 5)
-        core = compute_moment_core(X, w, omega, beta)
-        g = Grouping(groups=((0, 1, 2), (3, 4)), p=5)
-        Z = build_codata_matrix(g)
-        mu = np.array([0.5, -0.2])
-        s0 = build_variance_system(core, Z, g)
-        s1 = build_variance_system(core, Z, g, prior_mean=mu)
-        term = (core.C @ (Z.entries @ mu)) ** 2
-        expected = [
-            s0.b[gi] - term[list(members)].mean() for gi, members in enumerate(g.groups)
-        ]
-        assert np.allclose(s1.b, expected, atol=1e-10)
-        assert np.allclose(s1.A, s0.A, atol=1e-12)
-
-    def test_zero_prior_mean_equals_default(self):
-        X, w, omega, beta = rand_instance(9, 7, 4)
-        core = compute_moment_core(X, w, omega, beta)
-        g = Grouping(groups=((0, 1), (2, 3)), p=4)
-        Z = build_codata_matrix(g)
-        s0 = build_variance_system(core, Z, g)
-        s1 = build_variance_system(core, Z, g, prior_mean=np.zeros(2))
-        assert np.allclose(s0.b, s1.b, atol=1e-14)
 
 
 class TestMeanSystem:
@@ -340,7 +340,6 @@ class TestStreamingPasses:
             X,
             ResponseFamily.gaussian(y),
             sources[:n_sources],
-            materialize_threshold=p - 1,
         )
         assert 0 < len(passes) <= max_passes
         assert weight_system_passes == ([] if n_sources == 1 else [0])
