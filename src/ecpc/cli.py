@@ -334,7 +334,9 @@ def cmd_fit(args) -> int:
         fh.write(
             f"family={model.family} n={X.shape[0]} p={X.shape[1]} "
             f"tau_global={_fmt(model.tau_global)} sigma2={_fmt(model.sigma2)} "
-            f"converged={model.diagnostics.get('converged')}\n"
+            f"converged={model.diagnostics.get('converged')} "
+            f"iterations={model.diagnostics.get('iterations')} "
+            f"initial_iterations={model.diagnostics.get('initial_iterations')}\n"
         )
 
     if args.select:
@@ -410,19 +412,8 @@ def _simulate_one(seed, n, p, G, informative, n_splits):
     grouping = Grouping(groups=groups, p=p, name="sim")
 
     out = {}
-    for label, hyper, forced in (
-        ("ecpc_hyper", "ridge", None),
-        ("ecpc_nohyper", "none", None),
-    ):
-        model = fit_ecpc(
-            X,
-            resp,
-            [grouping],
-            hyper=hyper,
-            n_splits=n_splits,
-            seed=seed,
-            forced_hyperlambda=forced,
-        )
+    for label, hyper in (("ecpc_hyper", "ridge"), ("ecpc_nohyper", "none")):
+        model = fit_ecpc(X, resp, [grouping], hyper=hyper, n_splits=n_splits, seed=seed)
         out[label] = float(((predict(model, Xt) - yt) ** 2).mean())
 
     gv = estimate_global_variance(X, resp, seed=seed)

@@ -186,10 +186,7 @@ def fit_ecpc(
         tau_global=tau_global, tau_local=np.ones(p_aug), unpenalized_mask=unpen_mask
     )
     fit0 = fit_weighted_ridge(X_aug, resp_fit, state0)
-    H0 = None
-    if resp.family == "cox":
-        H0 = breslow_cumhaz(resp.times, resp.status, fit0.linear_predictor)
-    W = moment_weights(resp_fit, fit0, H0=H0)
+    W = moment_weights(resp_fit, fit0.linear_predictor)
     core = compute_moment_core(X_aug, W, state0.precision_diag, fit0.beta)
 
     # step 2: per co-data source, hyperpenalty strength then group weights
@@ -308,6 +305,7 @@ def fit_ecpc(
             "converged": bool(fit.converged),
             "iterations": int(fit.iterations),
             "initial_converged": bool(fit0.converged),
+            "initial_iterations": int(fit0.iterations),
             "n_dropped": int((~keep).sum()),
             "global_variance": {
                 "lambda_star": gv.lambda_star,

@@ -1,8 +1,9 @@
 """Weighted-ridge penalised GLM fitting for linear, logistic and Cox models.
 
 The penalised estimate maximises ``loglik(beta) - 0.5 * beta' Omega beta``
-with a diagonal precision ``Omega``.  Gaussian responses are solved exactly;
-logistic and Cox use damped (quasi-)Newton iterations.  All linear solves go
+with a diagonal precision ``Omega``, optionally less an L1 term.  Every fit
+runs the one damped Newton loop of :func:`fit_weighted_ridge` on the terms of
+:func:`family_terms`, the only family-specific code.  All linear solves go
 through an n x n dual form when p > n, so high-dimensional fits never build
 p x p matrices.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -26,7 +28,7 @@ __all__ = [
     "RidgeFit",
     "GlobalVariance",
     "fit_weighted_ridge",
-    "weight_matrix",
+    "family_terms",
     "moment_weights",
     "breslow_cumhaz",
     "martingale_residuals",
@@ -93,6 +95,21 @@ class ResponseFamily:
     def cox(times, status) -> "ResponseFamily":
         return ResponseFamily("cox", times=times, status=status)
 
+    @cached_property
+    def _risk_sets(self):
+        """Cox risk sets, built once per response: ``order`` sorts the
+        samples by descending time, ``ends`` holds the last sorted position
+        of each block of tied times, ``block`` each sample's block and
+        ``events`` each block's event count."""
+        order = np.argsort(-self.times, kind="stable")
+        t = self.times[order]
+        first = np.r_[True, t[1:] != t[:-1]]
+        starts = np.flatnonzero(first)
+        ends = np.r_[starts[1:], len(t)] - 1
+        block = np.empty(len(t), dtype=int)
+        block[order] = np.cumsum(first) - 1
+        return order, ends, block, np.add.reduceat(self.status[order], starts)
+
     def with_sigma2(self, sigma2: float) -> "ResponseFamily":
         return ResponseFamily("gaussian", y=self.y, sigma2=sigma2)
 
@@ -144,7 +161,6 @@ class RidgeFit:
     linear_predictor: np.ndarray
     converged: bool
     iterations: int
-    deviance: float
     separation: bool = False
 
 
@@ -176,7 +192,10 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
     pen = omega > 0
     unp = ~pen
     sq = np.sqrt(omega[pen])
-    S = np.sqrt(w)[:, None] * X[:, pen] / sq  # W^{1/2} X_P Omega_P^{-1/2}
+    sw = np.sqrt(w)
+    S = X[:, pen]  # becomes W^{1/2} X_P Omega_P^{-1/2}, scaled in place
+    S *= sw[:, None]
+    S /= sq
     K = np.eye(n) + S @ S.T
     try:
         cK = cho_factor(K)
@@ -186,16 +205,18 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
     if u:
         # one Woodbury solve for the coupling block and the penalised rhs
         Xu = X[:, unp]
-        M_pu = (X[:, pen].T * w) @ Xu
-        Bp = np.hstack([M_pu, B[pen]])
+        Su = S.T @ (sw[:, None] * Xu)  # Omega_P^{-1/2} X_P' W X_U
+        Zp = np.hstack([Su, B[pen]])
+        Zp[:, u:] /= sq[:, None]
     else:
-        Bp = B
+        Zp = B / sq[:, None]
     # M_PP^{-1} = Omega_P^{-1/2} (I - S' K^{-1} S) Omega_P^{-1/2}
-    Bs = Bp / sq[:, None]
-    Zp = (Bs - S.T @ cho_solve(cK, S @ Bs)) / sq[:, None]
+    Zp -= S.T @ cho_solve(cK, S @ Zp)
+    Zp /= sq[:, None]
     if not u:
         return Zp[:, 0] if single else Zp
 
+    M_pu = sq[:, None] * Su
     Minv_pu, Minv_bp = Zp[:, :u], Zp[:, u:]
     schur = (Xu.T * w) @ Xu - M_pu.T @ Minv_pu
     try:
@@ -205,43 +226,52 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
             f"unpenalised block not identifiable (cond={np.linalg.cond(schur):.3e})"
         )
     Zu = cho_solve(cS, B[unp] - M_pu.T @ Minv_bp)
-    Zp = Minv_bp - Minv_pu @ Zu
-    Z = np.zeros_like(B)
-    Z[pen] = Zp
+    Minv_bp -= Minv_pu @ Zu
+    Z = np.empty_like(B)
+    Z[pen] = Minv_bp
     Z[unp] = Zu
     return Z[:, 0] if single else Z
 
 
-def family_loglik(resp: ResponseFamily, lp: np.ndarray) -> float:
-    """Log-likelihood (partial log-likelihood for cox) at a linear predictor."""
+def family_terms(resp: ResponseFamily, lp):
+    """Log-likelihood, score residuals and information weights at ``lp``.
+
+    The score of the coefficients is ``X' score_resid`` and the information
+    is approximated by ``X' diag(info_weights) X``.  gaussian: ``(y - lp) /
+    sigma2`` and ``1 / sigma2``; binomial: ``y - p`` and ``p (1 - p)``; cox
+    (partial likelihood, tied times sharing a risk set): the martingale
+    residuals ``status - H0 exp(lp)`` and ``H0 exp(lp)``, with ``H0`` the
+    Breslow cumulative hazard at each sample's own time.  This is the only
+    family-specific code of the fits.
+    """
+    lp = np.asarray(lp, dtype=float)
     if resp.family == "gaussian":
         s2 = resp.sigma2 if resp.sigma2 is not None else 1.0
         r = resp.y - lp
-        return float(-0.5 * (r @ r) / s2 - 0.5 * len(r) * math.log(2 * math.pi * s2))
+        ll = -0.5 * (r @ r) / s2 - 0.5 * len(r) * math.log(2 * math.pi * s2)
+        return float(ll), r / s2, np.full(len(r), 1.0 / s2)
     if resp.family == "binomial":
+        pr = expit(lp)
         # y*lp - log(1+exp(lp)), stable form
-        return float(resp.y @ lp - np.logaddexp(0.0, lp).sum())
-    return _cox_partial_loglik(resp.times, resp.status, lp)
+        ll = resp.y @ lp - np.logaddexp(0.0, lp).sum()
+        return float(ll), resp.y - pr, pr * (1.0 - pr)
+    order, ends, block, events = resp._risk_sets
+    elp = np.exp(lp)
+    risk = np.cumsum(elp[order])[ends]  # sum of exp(lp) over t_j >= t, per block
+    ll = resp.status @ (lp - np.log(risk)[block])
+    # H0 sums the hazard increments d / risk of every block up to the time
+    H0 = np.cumsum((events / risk)[::-1])[::-1][block]
+    info = H0 * elp
+    return float(ll), resp.status - info, info
+
+
+def family_loglik(resp: ResponseFamily, lp: np.ndarray) -> float:
+    """Log-likelihood (partial log-likelihood for cox) at a linear predictor."""
+    return family_terms(resp, lp)[0]
 
 
 def _cox_partial_loglik(times, status, lp) -> float:
-    order = np.argsort(-times, kind="stable")
-    t_sorted = times[order]
-    lp_sorted = lp[order]
-    d_sorted = status[order]
-    # risk sums: cumulative over descending time, shared within tied times
-    elp = np.exp(lp_sorted)
-    cum = np.cumsum(elp)
-    risk = cum.copy()
-    i = 0
-    while i < len(t_sorted):
-        j = i
-        while j + 1 < len(t_sorted) and t_sorted[j + 1] == t_sorted[i]:
-            j += 1
-        risk[i : j + 1] = cum[j]
-        i = j + 1
-    ll = float(np.sum(d_sorted * (lp_sorted - np.log(risk))))
-    return ll
+    return family_loglik(ResponseFamily.cox(times, status), lp)
 
 
 def breslow_cumhaz(times, status, lp) -> np.ndarray:
@@ -251,27 +281,10 @@ def breslow_cumhaz(times, status, lp) -> np.ndarray:
     event times; tied event times share the risk set.  All-censored data
     gives an identically-zero cumulative hazard.
     """
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status, dtype=float)
     lp = np.asarray(lp, dtype=float)
     if not (len(times) == len(status) == len(lp)):
         raise DataError("times, status and linear predictor lengths differ")
-    order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    elp_sorted = np.exp(lp[order])
-    d_sorted = status[order]
-    n = len(times)
-    # risk sum at time t = sum of exp(lp) over samples with t_j >= t
-    suffix = np.cumsum(elp_sorted[::-1])[::-1]
-    uniq_t, first_idx = np.unique(t_sorted, return_index=True)
-    risk_at = suffix[first_idx]
-    events_at = np.add.reduceat(d_sorted, first_idx)
-    h0 = events_at / risk_at
-    H0_steps = np.cumsum(h0)
-    # evaluate H0 at each sample's time
-    pos = np.searchsorted(uniq_t, times, side="right") - 1
-    H0 = np.where(pos >= 0, H0_steps[np.clip(pos, 0, None)], 0.0)
-    return H0
+    return family_terms(ResponseFamily.cox(times, status), lp)[2] / np.exp(lp)
 
 
 def martingale_residuals(times, status, lp, H0) -> np.ndarray:
@@ -279,38 +292,11 @@ def martingale_residuals(times, status, lp, H0) -> np.ndarray:
     return np.asarray(status, dtype=float) - np.asarray(H0) * np.exp(np.asarray(lp))
 
 
-def weight_matrix(resp: ResponseFamily, fit: RidgeFit, H0=None) -> np.ndarray:
-    """Diagonal response-variance weights at a fitted linear predictor.
-
-    gaussian: constant sigma2; binomial: p(1-p); cox: H0(t_i) exp(lp_i).
-    """
-    n = resp.n
-    if resp.family == "gaussian":
-        s2 = resp.sigma2 if resp.sigma2 is not None else 1.0
-        return np.full(n, s2)
-    if resp.family == "binomial":
-        pr = expit(fit.linear_predictor)
-        return pr * (1.0 - pr)
-    if H0 is None:
-        raise DataError("cox weights require the baseline cumulative hazard")
-    return np.asarray(H0) * np.exp(fit.linear_predictor)
-
-
-def moment_weights(resp: ResponseFamily, fit: RidgeFit, H0=None) -> np.ndarray:
-    """Information-scale weights used by the moment systems.
-
-    Equal to the response-variance weights except for gaussian, where the
-    Fisher information of the linear predictor is 1/sigma2 per sample.
-    """
-    if resp.family == "gaussian":
-        s2 = resp.sigma2 if resp.sigma2 is not None else 1.0
-        return np.full(resp.n, 1.0 / s2)
-    return weight_matrix(resp, fit, H0=H0)
-
-
-def _penalized_objective(resp, X, beta, omega) -> float:
-    lp = X @ beta
-    return family_loglik(resp, lp) - 0.5 * float(beta @ (omega * beta))
+def moment_weights(resp: ResponseFamily, lp) -> np.ndarray:
+    """Information-scale weights used by the moment systems: the Fisher
+    information of the linear predictor per sample (``1 / sigma2`` for
+    gaussian, ``p (1 - p)`` for binomial, ``H0 exp(lp)`` for cox)."""
+    return family_terms(resp, lp)[2]
 
 
 def fit_weighted_ridge(
@@ -320,84 +306,91 @@ def fit_weighted_ridge(
     max_iter: int = 100,
     tol: float = 1e-8,
     beta0=None,
+    lam1: float = 0.0,
 ) -> RidgeFit:
-    """Maximise the penalised (partial) log-likelihood under diagonal precision.
+    """Maximise ``loglik(beta) - 0.5 beta' Omega beta - lam1 sum_pen |beta_j|``.
 
-    Gaussian responses are solved in closed form; binomial and cox by damped
-    Newton steps with step halving, so the penalised objective never
-    decreases.  ``beta0`` warm-starts the Newton steps (default: zeros).
-    The iteration stops once the penalised score is ``max|score| <
-    1e-8 (1 + |obj|)``, or after three successive steps whose relative
-    objective change is below ``tol`` while ``max|score| < 1e-5 (1 + |obj|)``;
-    a small objective change alone never stops it.  Raises
-    :class:`ConvergenceError` (carrying the last iterate) if the iteration
-    limit is hit.
+    The one Newton loop of every penalised fit (IRLS; a proximal Newton
+    method when ``lam1 > 0``, whose L1 term spares the unpenalised
+    coordinates).  Each step maximises the quadratic model built from
+    :func:`family_terms` at the current iterate, by
+    :func:`solve_penalized_system` when ``lam1 == 0`` and by
+    :func:`elastic_net_cd` on the working response otherwise, and is halved
+    until the objective does not fall.  ``beta0`` warm-starts the steps
+    (default: zeros).  The stop rule is tested at each accepted iterate, on
+    the minimum-norm subgradient ``g`` of the objective (the penalised score
+    when ``lam1 == 0``): the loop stops once ``max|g| < 1e-8 (1 + |obj|)``,
+    or after three successive steps whose relative objective change is
+    below ``tol`` while ``max|g| < 1e-5 (1 + |obj|)``; a small objective
+    change alone never stops it.  A gaussian objective is its own quadratic
+    model, so one step solves it up to the accuracy of the linear solve.
+    Raises :class:`ConvergenceError` (carrying the last iterate) if the
+    iteration limit is hit.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     if resp.n != n or len(pen.tau_local) != p:
         raise DataError("dimension mismatch between X, response and penalty state")
-    omega = pen.precision_diag
-    n_unpen = int(pen.unpenalized_mask.sum())
-    if n_unpen == p and n <= n_unpen:
+    unpen = pen.unpenalized_mask
+    if unpen.all() and n <= p:
         raise DataError("need at least one penalised covariate or n > #unpenalised")
+    if resp.family == "gaussian" and resp.sigma2 is None:
+        raise DataError("gaussian fit requires sigma2 (estimate it first)")
+    omega = pen.precision_diag
+    l1 = np.where(unpen, 0.0, lam1)
 
-    if resp.family == "gaussian":
-        if resp.sigma2 is None:
-            raise DataError("gaussian fit requires sigma2 (estimate it first)")
-        w = np.full(n, 1.0 / resp.sigma2)
-        beta = solve_penalized_system(X, w, omega, X.T @ (w * resp.y))
-        lp = X @ beta
-        dev = -2.0 * family_loglik(resp, lp)
-        return RidgeFit(beta=beta, linear_predictor=lp, converged=True, iterations=1, deviance=dev)
+    def terms_at(b):
+        lp = X @ b
+        ll, resid, w = family_terms(resp, lp)
+        obj = ll - 0.5 * float(b @ (omega * b)) - float(l1 @ np.abs(b))
+        return lp, resid, w, obj
 
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
-    obj = _penalized_objective(resp, X, beta, omega)
+    lp, resid, w, obj = terms_at(beta)
+    grad = X.T @ resid - omega * beta
     converged = False
     stalled = 0
     it = 0
     for it in range(1, max_iter + 1):
-        lp = X @ beta
-        if resp.family == "binomial":
-            pr = expit(lp)
-            w = np.clip(pr * (1.0 - pr), 1e-12, None)
-            grad = X.T @ (resp.y - pr) - omega * beta
+        w = np.maximum(w, 1e-12)
+        if lam1 == 0:
+            step = solve_penalized_system(X, w, omega, grad)
         else:
-            H0 = breslow_cumhaz(resp.times, resp.status, lp)
-            delta_resid = martingale_residuals(resp.times, resp.status, lp, H0)
-            w = np.clip(H0 * np.exp(lp), 1e-12, None)
-            grad = X.T @ delta_resid - omega * beta
-        step = solve_penalized_system(X, w, omega, grad)
+            z = lp + resid / w  # working response
+            step = elastic_net_cd(X, w, z, lam1, omega, ~unpen, beta0=beta) - beta
         t = 1.0
-        new_obj = _penalized_objective(resp, X, beta + t * step, omega)
-        while not np.isfinite(new_obj) or new_obj < obj - 1e-12:
-            t /= 2.0
-            if t < 1e-12:
+        while True:
+            trial = beta + t * step
+            terms = terms_at(trial)
+            if (np.isfinite(terms[3]) and terms[3] >= obj - 1e-12) or t < 1e-12:
                 break
-            new_obj = _penalized_objective(resp, X, beta + t * step, omega)
-        beta = beta + t * step
-        rel_change = abs(new_obj - obj) / (abs(obj) + 1.0)
-        grad_norm = np.max(np.abs(grad))
-        obj = new_obj
-        if grad_norm < 1e-8 * (1.0 + abs(obj)):
+            t /= 2.0
+        rel_change = abs(terms[3] - obj) / (abs(obj) + 1.0)
+        beta = trial
+        lp, resid, w, obj = terms
+        grad = X.T @ resid - omega * beta
+        sub = np.where(
+            beta != 0,
+            grad - l1 * np.sign(beta),
+            np.sign(grad) * np.maximum(np.abs(grad) - l1, 0.0),
+        )
+        sub_norm = np.max(np.abs(sub))
+        if sub_norm < 1e-8 * (1.0 + abs(obj)):
             converged = True
             break
-        if rel_change < tol and grad_norm < 1e-5 * (1.0 + abs(obj)):
+        if rel_change < tol and sub_norm < 1e-5 * (1.0 + abs(obj)):
             stalled += 1
             if stalled >= 3:
                 converged = True
                 break
         else:
             stalled = 0
-    lp = X @ beta
-    dev = -2.0 * family_loglik(resp, lp)
     separation = resp.family == "binomial" and bool(np.max(np.abs(lp)) > 20.0)
     fit = RidgeFit(
         beta=beta,
         linear_predictor=lp,
         converged=converged,
         iterations=it,
-        deviance=dev,
         separation=separation,
     )
     if not converged:

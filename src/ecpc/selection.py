@@ -20,9 +20,9 @@ from .estimator import FittedModel, TAU_LOCAL_FLOOR
 from .glm import (
     PenaltyState,
     ResponseFamily,
-    breslow_cumhaz,
     elastic_net_cd,
     estimate_global_variance,
+    family_terms,
     fit_weighted_ridge,
     moment_weights,
 )
@@ -48,44 +48,12 @@ class SelectionResult:
     exact_count: bool = True
 
 
-def _working_response(resp: ResponseFamily, lp: np.ndarray):
-    """Per-sample weights and working response of the local quadratic model."""
-    if resp.family == "gaussian":
-        s2 = resp.sigma2 if resp.sigma2 is not None else 1.0
-        return np.full(len(lp), 1.0 / s2), resp.y
-    if resp.family == "binomial":
-        pr = 1.0 / (1.0 + np.exp(-lp))
-        w = np.clip(pr * (1.0 - pr), 1e-5, None)
-        return w, lp + (resp.y - pr) / w
-    H0 = breslow_cumhaz(resp.times, resp.status, lp)
-    w = np.clip(H0 * np.exp(lp), 1e-8, None)
-    return w, lp + (resp.status - H0 * np.exp(lp)) / w
-
-
-def _elnet(
-    X,
-    resp: ResponseFamily,
-    lam1: float,
-    ridge_prec: np.ndarray,
-    pen_mask: np.ndarray,
-    beta0=None,
-    max_outer: int = 100,
-):
-    """Elastic net with per-coordinate ridge precision, by coordinate descent.
-
-    Minimises ``-loglik + 0.5 * sum_j ridge_j beta_j^2 + lam1 * sum_{pen} |beta_j|``
-    through iterated weighted least-squares approximations.
-    """
-    beta = np.zeros(X.shape[1]) if beta0 is None else beta0
-    for _outer in range(max_outer):
-        lp = X @ beta
-        w, z = _working_response(resp, lp)
-        beta = elastic_net_cd(X, w, z, lam1, ridge_prec, pen_mask, beta0=beta)
-        if resp.family == "gaussian":
-            return beta  # the quadratic model is exact
-        if np.abs(X @ beta - lp).max() < 1e-8 * (1.0 + np.abs(lp).max()):
-            return beta
-    return beta
+def _with_model_sigma2(resp: ResponseFamily, model: FittedModel) -> ResponseFamily:
+    """A gaussian response without a noise variance takes the model's (1 if
+    the model has none either)."""
+    if resp.family == "gaussian" and resp.sigma2 is None:
+        return resp.with_sigma2(model.sigma2 if model.sigma2 is not None else 1.0)
+    return resp
 
 
 def _count(beta, pen_mask):
@@ -118,26 +86,23 @@ def select_l1(
     if model.has_intercept:
         Xs = np.hstack([Xs, np.ones((len(Xs), 1))])
     p_aug = Xs.shape[1]
-    pen_mask = np.ones(p_aug, dtype=bool)
-    ridge_prec = np.full(p_aug, 1.0 / model.tau_global)
-    if model.has_intercept:
-        pen_mask[-1] = False
-        ridge_prec[-1] = 0.0
-    if resp.family == "gaussian" and resp.sigma2 is None and model.sigma2 is not None:
-        resp = resp.with_sigma2(model.sigma2)
+    pen_mask = np.arange(p_aug) < p
+    state = PenaltyState.uniform(model.tau_global, p_aug, ~pen_mask)
+    resp = _with_model_sigma2(resp, model)
 
-    # null-model gradient gives the smallest strength zeroing everything
-    beta_null = np.zeros(p_aug)
+    # the null model's score gives the smallest strength zeroing everything;
+    # it is fitted on the unpenalised columns alone
+    lp_null = np.zeros(len(Xs))
     if model.has_intercept:
-        beta_null = _elnet(Xs, resp, np.inf, ridge_prec, pen_mask)
-    w0, z0 = _working_response(resp, Xs @ beta_null)
-    grad = Xs[:, pen_mask].T @ (w0 * (z0 - Xs @ beta_null))
+        null_state = PenaltyState.uniform(model.tau_global, 1, [True])
+        lp_null = fit_weighted_ridge(Xs[:, p:], resp, null_state).linear_predictor
+    grad = Xs[:, pen_mask].T @ family_terms(resp, lp_null)[1]
     lam_max = np.abs(grad).max() * 1.0001
 
     cache: dict[float, np.ndarray] = {}
 
     def fit_at(lam, warm=None):
-        beta = _elnet(Xs, resp, lam, ridge_prec, pen_mask, beta0=warm)
+        beta = fit_weighted_ridge(Xs, resp, state, beta0=warm, lam1=lam).beta
         cache[lam] = beta
         return beta
 
@@ -252,19 +217,10 @@ def posterior_sds(model: FittedModel, X, resp: ResponseFamily) -> np.ndarray:
     curvature-at-the-mode approximation otherwise.
     """
     X = np.asarray(X, dtype=float)
-    if resp.family == "gaussian" and resp.sigma2 is None and model.sigma2 is not None:
-        resp = resp.with_sigma2(model.sigma2)
+    resp = _with_model_sigma2(resp, model)
     tau_loc = np.maximum(model.tau_local, TAU_LOCAL_FLOOR)
     delta = 1.0 / (model.tau_global * tau_loc)
-    lp = X @ model.beta + model.intercept
-
-    class _Fit:
-        linear_predictor = lp
-
-    H0 = None
-    if resp.family == "cox":
-        H0 = breslow_cumhaz(resp.times, resp.status, lp)
-    w = moment_weights(resp, _Fit, H0=H0)
+    w = moment_weights(resp, X @ model.beta + model.intercept)
     Xt = np.sqrt(w)[:, None] * X / np.sqrt(delta)[None, :]
     _, d, Vt = np.linalg.svd(Xt, full_matrices=False)
     shrink = d**2 / (d**2 + 1.0)
@@ -331,8 +287,7 @@ def refit_selected(
     if mode == "dense":
         tau_global = model.tau_global
         tau_loc = np.maximum(model.tau_local[selected], TAU_LOCAL_FLOOR)
-        if resp.family == "gaussian" and resp.sigma2 is None:
-            resp = resp.with_sigma2(model.sigma2 if model.sigma2 is not None else 1.0)
+        resp = _with_model_sigma2(resp, model)
     else:
         gv = estimate_global_variance(Xs, resp, unpenalized_mask=unpen)
         tau_global = gv.tau_global

@@ -141,8 +141,11 @@ class TestFitCommand:
         assert rc == 0
         assert (out / "model.json").exists()
         assert (out / "group_weights.csv").exists()
-        assert (out / "fit.log").exists()
+        log = (out / "fit.log").read_text()
         doc = json.loads((out / "model.json").read_text())
+        diag = doc["diagnostics"]
+        assert f"iterations={diag['iterations']} " in log
+        assert f"initial_iterations={diag['initial_iterations']}" in log
         assert doc["feature_names"] == names
         assert len(doc["beta"]) == X.shape[1]
 

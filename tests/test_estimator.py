@@ -256,6 +256,42 @@ class TestFitEcpc:
         assert (np.diff(model.baseline_cumhaz) >= -1e-12).all()
 
 
+def edge_data(seed, n=40, p=60):
+    rng = np.random.default_rng(seed)
+    return rng, rng.standard_normal((n, p)), disjoint_grouping(p, 4)
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("n_times", [1, 2, 3])
+    def test_cox_heavy_ties_finite(self, n_times):
+        rng, X, g = edge_data(50 + n_times)
+        times = rng.integers(1, n_times + 1, len(X)).astype(float)
+        status = (rng.random(len(X)) < 0.6).astype(float)
+        model = fit_ecpc(X, ResponseFamily.cox(times, status), [g])
+        assert np.isfinite(model.beta).all() and np.isfinite(model.tau_local).all()
+        assert np.isfinite(model.baseline_cumhaz).all()
+
+    def test_cox_all_censored_zero_beta(self):
+        rng, X, g = edge_data(54)
+        resp = ResponseFamily.cox(rng.exponential(1.0, len(X)), np.zeros(len(X)))
+        model = fit_ecpc(X, resp, [g])
+        assert np.array_equal(model.beta, np.zeros(X.shape[1]))
+
+    def test_binomial_single_positive_rejected(self):
+        rng, X, g = edge_data(55)
+        y = np.zeros(len(X))
+        y[7] = 1.0
+        with pytest.raises(DataError, match="leaves a single class"):
+            fit_ecpc(X, ResponseFamily.binomial(y), [g], intercept=True)
+
+    def test_binomial_two_positives_finite(self):
+        rng, X, g = edge_data(56)
+        y = np.zeros(len(X))
+        y[[3, 21]] = 1.0
+        model = fit_ecpc(X, ResponseFamily.binomial(y), [g], intercept=True)
+        assert np.isfinite(model.beta).all() and np.isfinite(model.intercept)
+
+
 class TestPredict:
     def _model(self, beta, intercept=0.0, family="gaussian", **kw):
         return FittedModel(
@@ -342,6 +378,7 @@ class TestSerialization:
         assert np.isclose(record["lambda_star"], 1.0 / model.tau_global)
         assert isinstance(record["on_grid_boundary"], bool)
         assert isinstance(record["n_scores_neg_inf"], int)
+        assert model.diagnostics["initial_iterations"] >= 1
         assert back.diagnostics == model.diagnostics
 
     def test_round_trip_hyperlambda_record(self):

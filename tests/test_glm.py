@@ -19,9 +19,9 @@ from ecpc import glm
 from ecpc.glm import (
     _fold_path_scores,
     family_loglik,
+    family_terms,
     moment_weights,
     stratified_folds,
-    weight_matrix,
 )
 
 
@@ -250,46 +250,131 @@ class TestCox:
         assert np.allclose(H, [2 / 3, 2 / 3, 2 / 3 + 1.0], atol=1e-12)
 
 
+def naive_cox_terms(t, d, lp):
+    """Cox log-likelihood, Breslow H0 and martingale residuals by explicit
+    O(n^2) risk-set sums."""
+    elp = np.exp(lp)
+    risk = np.array([elp[t >= ti].sum() for ti in t])
+    ll = float(np.sum(d * (lp - np.log(risk))))
+    H0 = np.array([np.sum(d[t <= ti] / risk[t <= ti]) for ti in t])
+    return ll, H0, d - H0 * elp
+
+
+class TestFamilyTerms:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 15),
+        st.sampled_from([1, 2, 3, None]),
+        st.sampled_from(["mixed", "censored"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cox_matches_naive_risk_sets(self, seed, n, n_times, status):
+        # heavy ties (1-3 distinct times) or continuous times
+        rng = np.random.default_rng(seed)
+        if n_times is None:
+            t = rng.exponential(size=n) + 0.01
+        else:
+            t = rng.integers(1, n_times + 1, n).astype(float)
+        d = (rng.uniform(size=n) < 0.6).astype(float) if status == "mixed" else np.zeros(n)
+        lp = rng.standard_normal(n)
+        ll_ref, H0_ref, resid_ref = naive_cox_terms(t, d, lp)
+        resp = ResponseFamily.cox(t, d)
+        ll, resid, info = family_terms(resp, lp)
+        assert abs(ll - ll_ref) <= 1e-10 * (1.0 + abs(ll_ref))
+        assert np.allclose(resid, resid_ref, rtol=1e-10, atol=1e-12)
+        assert np.allclose(info, H0_ref * np.exp(lp), rtol=1e-10, atol=1e-12)
+        assert np.allclose(breslow_cumhaz(t, d, lp), H0_ref, rtol=1e-10, atol=1e-12)
+        assert abs(glm._cox_partial_loglik(t, d, lp) - ll_ref) <= 1e-10 * (1.0 + abs(ll_ref))
+        if status == "censored":
+            assert ll == 0.0 and not resid.any() and not info.any()
+
+    def test_cox_risk_sets_built_once_per_response(self):
+        resp = ResponseFamily.cox(np.array([2.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0]))
+        first = resp._risk_sets
+        family_terms(resp, np.zeros(3))
+        family_terms(resp, np.ones(3))
+        assert resp._risk_sets is first
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.sampled_from(["binomial", "gaussian"]))
+    @settings(max_examples=60, deadline=None)
+    def test_score_and_information_are_derivatives(self, seed, n, family):
+        # score_resid is d loglik / d lp, info_weights is -d score_resid / d lp
+        rng = np.random.default_rng(seed)
+        lp = rng.normal(0.0, 2.0, n)
+        if family == "binomial":
+            resp = ResponseFamily.binomial((rng.uniform(size=n) < 0.5).astype(float))
+        else:
+            resp = ResponseFamily.gaussian(rng.standard_normal(n), sigma2=rng.uniform(0.2, 3.0))
+        ll, resid, info = family_terms(resp, lp)
+        eps = 1e-5
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = eps
+            up, down = family_terms(resp, lp + e), family_terms(resp, lp - e)
+            assert abs((up[0] - down[0]) / (2 * eps) - resid[i]) <= 1e-6 * (1.0 + abs(ll))
+            assert abs(-(up[1][i] - down[1][i]) / (2 * eps) - info[i]) <= 1e-6
+
+
+class TestL1Fit:
+    @given(
+        st.sampled_from(["binomial", "cox", "gaussian"]),
+        st.floats(0.05, 0.9),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_subgradient_conditions(self, family, frac, seed):
+        # an L1 fit with an unpenalised column meets the optimality conditions
+        # of the penalised objective, checked here from scratch
+        if family == "gaussian":
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((40, 31))
+            resp = ResponseFamily.gaussian(X[:, :3].sum(axis=1) + rng.standard_normal(40), 1.3)
+            mask = np.arange(31) == 30
+        else:
+            X, resp, mask = cv_problem(family, seed, 40, 30, 1)
+        state = PenaltyState.uniform(2.0, X.shape[1], mask)
+        omega = state.precision_diag
+        null = fit_weighted_ridge(X[:, mask], resp, PenaltyState.uniform(1.0, 1, [True]))
+        lam1 = frac * np.abs(X[:, ~mask].T @ family_terms(resp, null.linear_predictor)[1]).max()
+        fit = fit_weighted_ridge(X, resp, state, lam1=lam1)
+        ll, resid, _ = family_terms(resp, fit.linear_predictor)
+        b = fit.beta
+        g = X.T @ resid - omega * b
+        obj = ll - 0.5 * b @ (omega * b) - lam1 * np.abs(b[~mask]).sum()
+        tol = 1e-5 * (1.0 + abs(obj))
+        zero, nonzero = ~mask & (b == 0), ~mask & (b != 0)
+        assert zero.any() and nonzero.any()
+        assert (np.abs(g[zero]) <= lam1 + tol).all()
+        assert np.abs(g[nonzero] - lam1 * np.sign(b[nonzero])).max() <= tol
+        assert np.abs(g[mask]).max() <= tol
+
+    def test_iteration_cap_raises_with_last_iterate(self):
+        X, resp, mask = cv_problem("binomial", 3, 40, 30, 1)
+        state = PenaltyState.uniform(2.0, X.shape[1], mask)
+        with pytest.raises(ConvergenceError) as info:
+            fit_weighted_ridge(X, resp, state, max_iter=1, lam1=1.0)
+        last = info.value.last_iterate
+        assert last.iterations == 1 and not last.converged
+        assert last.beta.shape == (31,) and np.abs(last.beta).sum() > 0
+
+
 class TestWeights:
     def test_binomial_null_weights(self):
         rng = np.random.default_rng(11)
         y = (rng.uniform(size=9) < 0.5).astype(float)
         resp = ResponseFamily.binomial(y)
+        assert np.allclose(moment_weights(resp, np.zeros(9)), 0.25)
 
-        class Fit:
-            linear_predictor = np.zeros(9)
-
-        assert np.allclose(weight_matrix(resp, Fit), 0.25)
-
-    def test_gaussian_weight_is_sigma2(self):
+    def test_gaussian_weight_is_inverse_sigma2(self):
         resp = ResponseFamily.gaussian(np.zeros(3), sigma2=2.0)
-
-        class Fit:
-            linear_predictor = np.zeros(3)
-
-        assert np.allclose(weight_matrix(resp, Fit), 2.0)
-        assert np.allclose(moment_weights(resp, Fit), 0.5)
+        assert np.allclose(moment_weights(resp, np.zeros(3)), 0.5)
 
     def test_cox_weight_is_cumhaz_at_null(self):
         t = np.array([1.0, 2.0, 3.0])
         d = np.ones(3)
         lp = np.zeros(3)
         H = breslow_cumhaz(t, d, lp)
-        resp = ResponseFamily.cox(t, d)
-
-        class Fit:
-            linear_predictor = lp
-
-        assert np.allclose(weight_matrix(resp, Fit, H0=H), H)
-
-    def test_cox_requires_h0(self):
-        resp = ResponseFamily.cox(np.array([1.0]), np.array([1.0]))
-
-        class Fit:
-            linear_predictor = np.zeros(1)
-
-        with pytest.raises(DataError):
-            weight_matrix(resp, Fit)
+        assert np.allclose(moment_weights(ResponseFamily.cox(t, d), lp), H)
 
 
 class TestStratifiedFolds:
