@@ -338,6 +338,8 @@ def cmd_fit(args) -> int:
             f"iterations={model.diagnostics.get('iterations')} "
             f"initial_iterations={model.diagnostics.get('initial_iterations')}\n"
         )
+        for name, rec in zip(model.grouping_names, model.diagnostics["moments"]):
+            fh.write(f"moments grouping={name} route={rec['route']} rank={rec['rank']}\n")
 
     if args.select:
         method, count, mode = _parse_select(args.select)

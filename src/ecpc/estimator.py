@@ -194,6 +194,7 @@ def fit_ecpc(
     gammas: list[np.ndarray] = []
     hyperlambdas: list[float] = []
     tuning: list[dict] = []
+    moments: list[dict] = []
     trees = [g.tree for g in codata_list]
     for d, (grouping, Z, penalty) in enumerate(
         zip(codata_list, codata_matrices, penalties)
@@ -202,6 +203,9 @@ def fit_ecpc(
             raise DataError(
                 f"grouping '{grouping.name}' has no hierarchy for kind '{penalty.kind}'"
             )
+        tuned = penalty.kind != "none" and forced_hyperlambda is None
+        route = core.plan(Z, n_splits if tuned else 0)
+        moments.append({"route": route, "rank": core.rank})
         if penalty.kind == "none":
             choice = HyperLambda(0.0)
         elif forced_hyperlambda is not None:
@@ -315,6 +319,7 @@ def fit_ecpc(
                 ),
             },
             "hyperlambda": tuning,
+            "moments": moments,
         },
     )
 

@@ -167,8 +167,9 @@ class RidgeFit:
 def solve_penalized_system(X, weights, omega_diag, rhs):
     """Solve ``(X' diag(w) X + diag(omega)) Z = rhs`` for one or more columns.
 
-    Uses a dense p x p Cholesky when p <= n, otherwise the n x n dual form
-    (with a Schur complement for unpenalised coordinates, whose omega is 0).
+    Uses a dense p x p Cholesky when at most n columns are penalised,
+    otherwise the n x n dual form (with a Schur complement for unpenalised
+    coordinates, whose omega is 0).
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -178,7 +179,7 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
     single = rhs.ndim == 1
     B = rhs[:, None] if single else rhs
 
-    if p <= n:
+    if p <= n or np.count_nonzero(omega > 0) <= n:
         M = (X.T * w) @ X + np.diag(omega)
         try:
             c, low = cho_factor(M)

@@ -348,7 +348,7 @@ def estimate_hyperlambda(
     winner's index in the grid extended once more.  The in-half systems of
     one candidate are solved in one :func:`solve_hyper` call.  ``Z`` is the
     grouping's co-data matrix; passing the caller's own lets the core reuse
-    the product it keeps for that matrix.
+    what it keeps for that matrix.
     """
     if penalty_kind == "none":
         return HyperLambda(0.0)
@@ -360,6 +360,7 @@ def estimate_hyperlambda(
 
     if Z is None:
         Z = build_codata_matrix(grouping)
+    core.plan(Z, n_splits)
     systems_in, systems_out, sizes_in = [], [], []
     for s in range(n_splits):
         split = split_groups_random(grouping, seed=seed + s)

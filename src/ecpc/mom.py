@@ -7,13 +7,32 @@ the variance vector ``v = diag(M^{-1} X'WX M^{-1})``, with
 Group-averaging those moments yields small linear systems whose solutions
 are group-level prior variances, means and co-data weights.
 
-One penalised solve gives ``Y = M^{-1} X' W^{1/2}`` (p x n); with
-``R = W^{1/2} X`` that is ``C = Y R`` and ``v = rowsums(Y o Y)``.
-Every system is a group average of the rows of ``(C o C) Z`` (``C Z`` for
-the means) for some member sets: groups, half-groups or the pooled groups
-of several sources.  The core streams C in row blocks once per co-data
-matrix to form that product, keeps it, and each system averages its rows
-with a sparse matrix.
+One penalised solve gives ``Y = M^{-1} X' W^{1/2}`` (p x r, with r = n);
+with ``R = W^{1/2} X`` that is ``C = Y R`` and ``v = rowsums(Y o Y)``, so C
+has rank at most r.  Every variance-type system entry sums, over the members
+k of a member set h (a group, a half-group or a group of another source),
+the rows of ``(C o C) Z``.  With ``Y_k`` the k-th row of Y, each such sum is
+the inner product of two r x r Gram matrices:
+
+    sum_{k in h} ((C o C) Z)[k, g] = < sum_{k in h} Y_k Y_k',  R diag(Z_g) R' >
+
+Two routes build the sums of one co-data matrix Z (G columns, p covariates):
+
+- *direct*: stream C once in row blocks, keep ``(C o C) Z`` (p x G) and add
+  up its rows per set; about ``p^2 (r + G)`` flops.
+- *Gram*: form the group Grams ``R diag(Z_g) R'`` once from the nonzeros of
+  ``Z_g``, a member-set Gram per set, and all H x G entries of a system in
+  one ``(H x r^2) @ (r^2 x G)`` product; about
+  ``(nnz(Z) + sum |h|) r^2 + H G r^2`` flops.  No row of C is formed.
+
+The right-hand sides average ``beta_tilde^2 - v`` over the same sets.  A
+split's out-half sums, of both, are its group sums minus its in-half sums,
+so a split pair costs Grams for the in-halves only.  ``_route`` compares
+the two flop counts once per co-data matrix, given how many split pairs
+will be built from it, and the core keeps what the chosen route needs.  The
+routes agree to rounding.  Only the penalised block enters (columns of
+unpenalised covariates are unit vectors and decouple from the group
+systems).
 """
 
 from __future__ import annotations
@@ -42,14 +61,43 @@ __all__ = [
 ROW_BLOCK = 1024
 
 
+def _route(n_pen: int, r: int, nnz: int, n_groups: int, n_splits: int) -> str:
+    """The route with fewer flops for one co-data matrix's systems.
+
+    ``n_pen`` penalised covariates, factor rank ``r``, and a co-data matrix
+    with ``n_groups`` columns and ``nnz`` nonzeros, from which the variance
+    system (one set per group) and ``n_splits`` split pairs (in-halves of
+    ``ceil(|g|/2)`` members) are built.
+    """
+    direct = n_pen**2 * (r + n_groups)
+    members = nnz + n_splits * ((nnz + n_groups) // 2)
+    sets = n_groups * (1 + n_splits)
+    gram = (nnz + members) * r**2 + sets * n_groups * r**2
+    return "gram" if gram < direct else "direct"
+
+
+@dataclass
+class _CoDataTerms:
+    """What a route keeps for one co-data matrix.
+
+    ``terms`` is ``(C o C) Z`` over the penalised block (direct route) or the
+    group Grams ``R diag(Z_g) R'`` flattened to rows (Gram route).  ``Z``
+    itself is held so that its ``id`` cannot be reused by another matrix.
+    """
+
+    Z: CoDataMatrix
+    route: str
+    terms: np.ndarray
+    group_sums: dict = field(default_factory=dict)
+
+
 @dataclass
 class MomentCore:
     """Variance vector and initial estimate of a ridge fit, with C in factors.
 
     ``C = _Y @ _R`` with ``_Y = M^{-1} X' W^{1/2}`` and ``_R = W^{1/2} X``;
-    the systems only read its penalised block (columns of unpenalised
-    covariates are unit vectors and decouple from the group systems).
-    Products with co-data matrices are kept per matrix object.
+    the systems only read its penalised block.  What each co-data matrix's
+    systems need is kept per matrix object (see :meth:`plan`).
     """
 
     beta_tilde: np.ndarray
@@ -57,7 +105,7 @@ class MomentCore:
     pen_mask: np.ndarray
     _Y: np.ndarray
     _R: np.ndarray
-    _products: dict = field(default_factory=dict, repr=False, compare=False)
+    _codata: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -70,6 +118,11 @@ class MomentCore:
     @property
     def n_pen(self) -> int:
         return int(self.pen_mask.sum())
+
+    @property
+    def rank(self) -> int:
+        """Inner dimension r of C's factors, a bound on its rank."""
+        return self._R.shape[0]
 
     @property
     def C(self) -> np.ndarray:
@@ -92,26 +145,69 @@ class MomentCore:
             rows = np.arange(start, min(start + ROW_BLOCK, len(pen)))
             yield rows, self._Y[pen[rows]] @ Rc
 
-    def codata_product(self, Z: CoDataMatrix, squared: bool = True) -> np.ndarray:
-        """``(C o C) @ Z.entries`` over the penalised block (``C @ Z.entries``
-        with ``squared=False``), from one pass over C per matrix.
+    def plan(self, Z: CoDataMatrix, n_splits: int = 0) -> str:
+        """Choose the route for the systems of ``Z`` and build what it keeps.
 
-        The result is kept, for the life of the core, next to ``Z`` itself, so
-        the key ``id(Z)`` cannot be reused by another matrix; callers reuse it
-        by passing the same matrix object.
+        The choice is made once per matrix object, at its first use, for a
+        variance system plus ``n_splits`` split pairs; later calls return it.
         """
-        key = (id(Z), squared)
-        if key not in self._products:
-            Zm = Z.entries
-            if Zm.shape[0] != self.n_pen:
-                raise DataError(
-                    "co-data matrix rows must match the penalised covariate count"
-                )
-            out = np.empty((self.n_pen, Zm.shape[1]))
+        return self._terms(Z, n_splits).route
+
+    def _terms(self, Z: CoDataMatrix, n_splits: int = 0) -> _CoDataTerms:
+        """What :meth:`plan` keeps for ``Z``, built at the first call."""
+        kept = self._codata.get(id(Z))
+        if kept is not None:
+            return kept
+        Zm = _checked_entries(self, Z)
+        pen = self.pen_idx
+        cols = [np.flatnonzero(Zm[:, g]) for g in range(Zm.shape[1])]
+        nnz = sum(len(c) for c in cols)
+        route = _route(self.n_pen, self.rank, nnz, Zm.shape[1], n_splits)
+        if route == "direct":
+            terms = np.empty((self.n_pen, Zm.shape[1]))
             for rows, C_rows in self.iter_row_blocks():
-                out[rows] = (C_rows**2 if squared else C_rows) @ Zm
-            self._products[key] = (Z, out)
-        return self._products[key][1]
+                terms[rows] = C_rows**2 @ Zm
+        else:
+            terms = np.empty((Zm.shape[1], self.rank**2))
+            for g, members in enumerate(cols):
+                R_g = self._R[:, pen[members]]
+                terms[g] = ((R_g * Zm[members, g]) @ R_g.T).ravel()
+        kept = self._codata[id(Z)] = _CoDataTerms(Z, route, terms)
+        return kept
+
+    def _set_grams(self, member_sets) -> np.ndarray:
+        """``sum_{k in h} Y_k Y_k'`` for each member set h, one row each."""
+        pen = self.pen_idx
+        out = np.empty((len(member_sets), self.rank**2))
+        for i, members in enumerate(member_sets):
+            Y_h = self._Y[pen[np.asarray(members, dtype=int)]]
+            out[i] = (Y_h.T @ Y_h).ravel()
+        return out
+
+    def _sums(self, Z: CoDataMatrix, member_sets) -> np.ndarray:
+        """Sums over each member set of the rows of ``(C o C) Z`` and, in a
+        last column, of ``beta_tilde^2 - v`` (H x (G + 1))."""
+        kept = self._terms(Z)
+        P = _indicator(member_sets, self.n_pen)
+        resid_sums = P @ _beta_sq_minus_v(self)
+        if kept.route == "direct":
+            sums = P @ kept.terms
+        else:
+            sums = self._set_grams(member_sets) @ kept.terms.T
+        return np.column_stack([sums, resid_sums])
+
+    def _group_sums(self, Z: CoDataMatrix, groups) -> np.ndarray:
+        """:meth:`_sums` over whole groups, kept for the systems that reuse it."""
+        kept = self._terms(Z).group_sums
+        if groups not in kept:
+            kept[groups] = self._sums(Z, groups)
+        return kept[groups]
+
+
+def _checked_entries(core: MomentCore, Z: CoDataMatrix) -> np.ndarray:
+    if Z.entries.shape[0] != core.n_pen:
+        raise DataError("co-data matrix rows must match the penalised covariate count")
+    return Z.entries
 
 
 def compute_moment_core(X, W, precision_diag, beta_tilde) -> MomentCore:
@@ -144,20 +240,21 @@ class MomentSystem:
     group_labels: tuple[str, ...]
 
 
-def _average_rows(rows, member_sets, resid, labels, tau: float = 1.0) -> MomentSystem:
-    """Average ``rows`` and ``resid`` over each member set: ``A = tau P rows``.
-
-    ``P`` is the sparse row-averaging matrix with entry ``1/|set|`` in the
-    columns of each set's members.
-    """
-    sizes = np.array([len(m) for m in member_sets], dtype=int)
-    members = np.array([k for m in member_sets for k in m], dtype=int)
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    P = sparse.csr_matrix(
-        (np.repeat(1.0 / sizes, sizes), members, indptr),
-        shape=(len(member_sets), len(resid)),
+def _indicator(member_sets, n: int) -> sparse.csr_matrix:
+    """Sparse H x n matrix summing over each set's members."""
+    sizes = [len(m) for m in member_sets]
+    members = np.fromiter((k for m in member_sets for k in m), dtype=int)
+    return sparse.csr_matrix(
+        (np.ones(len(members)), members, np.concatenate([[0], np.cumsum(sizes)])),
+        shape=(len(member_sets), n),
     )
-    return MomentSystem(A=tau * (P @ rows), b=P @ resid, group_labels=tuple(labels))
+
+
+def _averaged(sums, member_sets, labels, tau: float = 1.0) -> MomentSystem:
+    """``A = tau sums[:, :-1] / |set|`` and ``b = sums[:, -1] / |set|``."""
+    sizes = np.array([len(m) for m in member_sets], dtype=float)
+    A = tau * sums[:, :-1] / sizes[:, None]
+    return MomentSystem(A=A, b=sums[:, -1] / sizes, group_labels=tuple(labels))
 
 
 def _beta_sq_minus_v(core: MomentCore) -> np.ndarray:
@@ -182,9 +279,8 @@ def build_variance_system(
     groups = grouping.groups
     if any(len(g) == 0 for g in groups):
         raise DataError("empty group in variance system")
-    rows = core.codata_product(Z)
     labels = [f"{grouping.name}:{g}" for g in range(len(groups))]
-    return _average_rows(rows, groups, _beta_sq_minus_v(core), labels, tau_global)
+    return _averaged(core._group_sums(Z, groups), groups, labels, tau_global)
 
 
 def build_mean_system(
@@ -192,10 +288,20 @@ def build_mean_system(
     Z: CoDataMatrix,
     grouping: Grouping,
 ) -> MomentSystem:
-    """First-moment system for group prior means: ``A = P C Z``."""
-    rows = core.codata_product(Z, squared=False)
+    """First-moment system for group prior means: ``A = P C Z``.
+
+    ``P`` averages over each group; ``C Z`` comes from the factors of C,
+    ``Y (R Z)``, summed over each group's rows first.
+    """
+    Zm = _checked_entries(core, Z)
+    pen = core.pen_idx
+    groups = grouping.groups
+    P = _indicator(groups, core.n_pen)
+    sums = np.column_stack(
+        [(P @ core._Y[pen]) @ (core._R[:, pen] @ Zm), P @ core.beta_tilde[pen]]
+    )
     labels = [f"{grouping.name}:{g}" for g in range(grouping.n_groups)]
-    return _average_rows(rows, grouping.groups, core.beta_tilde[core.pen_idx], labels)
+    return _averaged(sums, groups, labels)
 
 
 def build_split_systems(
@@ -208,15 +314,22 @@ def build_split_systems(
     """Variance systems restricted to the in- and out-halves of each group.
 
     Row sums run over the half's members only; the column structure (and
-    hence the unknowns) stays per original group.  A group with an empty
-    half has its equation dropped from that half's system, with a warning.
+    hence the unknowns) stays per original group.  The halves must
+    partition each group: the out-half sums are the group's sums minus the
+    in-half's.  A group with an empty half has its equation dropped from
+    that half's system, with a warning.
     """
     if Z is None:
         Z = build_codata_matrix(grouping)
-    rows = core.codata_product(Z)
-    resid = _beta_sq_minus_v(core)
+    halves = zip(split.in_groups, split.out_groups, grouping.groups)
+    if len(split.in_groups) != grouping.n_groups or any(
+        tuple(sorted(part_in + part_out)) != group for part_in, part_out, group in halves
+    ):
+        raise DataError("split halves must partition the grouping's groups")
+    sums_in = core._sums(Z, split.in_groups)
+    sums_out = core._group_sums(Z, grouping.groups) - sums_in
 
-    def restricted(parts, tag):
+    def restricted(parts, sums, tag):
         keep = [g for g, part in enumerate(parts) if len(part) > 0]
         if len(keep) < len(parts):
             warnings.warn(
@@ -224,9 +337,13 @@ def build_split_systems(
                 stacklevel=3,
             )
         labels = [f"{grouping.name}:{g}:{tag}" for g in keep]
-        return _average_rows(rows, [parts[g] for g in keep], resid, labels, tau_global)
+        sets = [parts[g] for g in keep]
+        return _averaged(sums[keep], sets, labels, tau_global)
 
-    return restricted(split.in_groups, "in"), restricted(split.out_groups, "out")
+    return (
+        restricted(split.in_groups, sums_in, "in"),
+        restricted(split.out_groups, sums_out, "out"),
+    )
 
 
 def build_grouping_weight_system(
@@ -241,7 +358,8 @@ def build_grouping_weight_system(
     All groups of all groupings are pooled into one variance system; fixing
     the fitted group weights turns it into ``G_total`` equations in the D
     grouping weights, with column d equal to
-    ``tau_global * A_pool[:, block d] @ gamma_hat_d``.
+    ``tau_global * A_pool[:, block d] @ gamma_hat_d``.  On the Gram route
+    that column takes one Gram ``sum_g gamma_g R diag(Z_g) R'`` per source.
     """
     if not (len(codata_matrices) == len(groupings) == len(gamma_hats)):
         raise DataError("one co-data matrix and weight vector per grouping required")
@@ -251,14 +369,21 @@ def build_grouping_weight_system(
                 f"grouping '{grouping.name}': {Z.n_groups} groups but "
                 f"{len(gam)} fitted weights"
             )
-    rows = np.column_stack(
-        [
-            core.codata_product(Z) @ np.asarray(gam, dtype=float)
-            for Z, gam in zip(codata_matrices, gamma_hats)
-        ]
-    )
     groups = [members for grouping in groupings for members in grouping.groups]
+    P = _indicator(groups, core.n_pen)
+    set_grams = None
+    columns = []
+    for Z, gam in zip(codata_matrices, gamma_hats):
+        kept = core._terms(Z)
+        gam = np.asarray(gam, dtype=float)
+        if kept.route == "direct":
+            columns.append(P @ (kept.terms @ gam))
+        else:
+            if set_grams is None:
+                set_grams = core._set_grams(groups)
+            columns.append(set_grams @ (gam @ kept.terms))
+    columns.append(P @ _beta_sq_minus_v(core))
     labels = [
         f"{grouping.name}:{g}" for grouping in groupings for g in range(grouping.n_groups)
     ]
-    return _average_rows(rows, groups, _beta_sq_minus_v(core), labels, tau_global)
+    return _averaged(np.column_stack(columns), groups, labels, tau_global)

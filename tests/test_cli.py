@@ -146,6 +146,9 @@ class TestFitCommand:
         diag = doc["diagnostics"]
         assert f"iterations={diag['iterations']} " in log
         assert f"initial_iterations={diag['initial_iterations']}" in log
+        assert diag["moments"] == [{"route": "direct", "rank": X.shape[0]}]
+        name = doc["grouping_names"][0]
+        assert f"moments grouping={name} route=direct rank={X.shape[0]}\n" in log
         assert doc["feature_names"] == names
         assert len(doc["beta"]) == X.shape[1]
 

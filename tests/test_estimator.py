@@ -360,6 +360,7 @@ class TestSerialization:
             "on_grid_boundary": False,
             "n_scores_neg_inf": 0,
         }
+        assert back.diagnostics["moments"] == [{"route": "direct", "rank": X.shape[0]}]
         Xn = np.random.default_rng(1).standard_normal((5, X.shape[1]))
         assert np.array_equal(predict(back, Xn), predict(model, Xn))
 
@@ -379,6 +380,7 @@ class TestSerialization:
         assert isinstance(record["on_grid_boundary"], bool)
         assert isinstance(record["n_scores_neg_inf"], int)
         assert model.diagnostics["initial_iterations"] >= 1
+        assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}]
         assert back.diagnostics == model.diagnostics
 
     def test_round_trip_hyperlambda_record(self):

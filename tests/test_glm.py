@@ -60,22 +60,28 @@ class TestGaussianRidge:
     @given(
         st.integers(0, 10_000),
         st.integers(4, 12),
-        st.sampled_from(["p<n", "p=n", "p>n"]),
+        st.sampled_from(["p<n", "p=n", "p=n+1", "p=n+2", "p>n"]),
         st.integers(0, 2),
         st.sampled_from([None, 1, 3]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_primal_and_dual_paths_agree(self, seed, n, shape, n_unpen, n_rhs):
-        # p <= n takes the primal Cholesky, p > n the dual kernel with a Schur
-        # complement for unpenalised columns; both must match a dense solve
-        p = {"p<n": n - 2, "p=n": n, "p>n": 2 * n + 3}[shape]
+        # at most n penalised columns take the primal Cholesky, more the dual
+        # kernel with a Schur complement for unpenalised columns; both must
+        # match a dense solve
+        p = {"p<n": n - 2, "p=n": n, "p=n+1": n + 1, "p=n+2": n + 2}.get(shape, 2 * n + 3)
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, p))
         w = rng.uniform(0.5, 2.0, n)
         omega = rng.uniform(0.3, 3.0, p)
         omega[:n_unpen] = 0.0
         rhs = rng.standard_normal(p if n_rhs is None else (p, n_rhs))
-        Z = glm.solve_penalized_system(X, w, omega, rhs)
+        factored = []  # the order of each matrix factored, primal p or dual n
+        cho_factor = glm.cho_factor
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "cho_factor", lambda M: factored.append(len(M)) or cho_factor(M))
+            Z = glm.solve_penalized_system(X, w, omega, rhs)
+        assert factored[0] == (p if p - n_unpen <= n else n)
         ref = np.linalg.solve((X.T * w) @ X + np.diag(omega), rhs)
         assert Z.shape == ref.shape
         assert np.abs(Z - ref).max() <= 1e-8 * np.abs(ref).max()

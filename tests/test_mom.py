@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ecpc import (
     fit_ecpc,
     split_groups_random,
 )
-from ecpc import estimator, mom
+from ecpc import DataError, estimator, mom
 from ecpc.codata import GroupSplit
 
 
@@ -305,19 +306,126 @@ class TestGroupingWeightSystem:
             build_grouping_weight_system(core, [Z], [g], [np.ones(3)], 1.0)
 
 
-class TestStreamingPasses:
-    @pytest.mark.parametrize("n_sources,max_passes", [(1, 1), (2, 2)])
-    def test_factored_fit_streams_C_once_per_codata_matrix(
-        self, monkeypatch, n_sources, max_passes
-    ):
-        passes = []
-        iter_row_blocks = MomentCore.iter_row_blocks
+def _random_grouping(rng, p, kind, name="grouping"):
+    """Disjoint groups, plus an overlapping group or singleton groups."""
+    G = int(rng.integers(2, 4))
+    groups = [tuple(part) for part in np.array_split(rng.permutation(p), G)]
+    if kind == "overlapping":
+        groups.append(tuple(rng.choice(p, size=max(2, p // 2), replace=False)))
+    elif kind == "singleton":
+        groups = [groups[0][:1], groups[0][1:]] + groups[1:] + [(int(groups[-1][0]),)]
+    return Grouping(groups=tuple(groups), p=p, name=name)
 
-        def counted(core):
-            passes.append(1)
-            return iter_row_blocks(core)
 
-        monkeypatch.setattr(MomentCore, "iter_row_blocks", counted)
+def _systems_by_route(route, X, w, omega, beta, groupings, splits, gammas, tau):
+    """Every variance-type system of one core, with the route forced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mom, "_route", lambda *args: route)
+        core = compute_moment_core(X, w, omega, beta)
+        Zs = [build_codata_matrix(g) for g in groupings]
+        systems = [build_variance_system(core, Zs[0], groupings[0], tau_global=tau)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for split in splits:
+                systems += build_split_systems(core, groupings[0], split, Zs[0], tau)
+        systems.append(build_grouping_weight_system(core, Zs, groupings, gammas, tau))
+        assert all(core.plan(Z) == route for Z in Zs)
+    return systems, [str(m.message) for m in caught]
+
+
+class TestRoutes:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(8, 14),
+        st.sampled_from(["p<n", "p=n", "p>n"]),
+        st.integers(0, 2),
+        st.sampled_from(["disjoint", "overlapping", "singleton"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree(self, seed, n, shape, n_unpen, kind):
+        p = {"p<n": n - 2, "p=n": n, "p>n": 2 * n + 3}[shape]
+        X, w, omega, beta = rand_instance(seed, n, p, unpen=range(n_unpen))
+        rng = np.random.default_rng(seed)
+        n_pen = p - n_unpen
+        groupings = [
+            _random_grouping(rng, n_pen, kind, "a"),
+            _random_grouping(rng, n_pen, "overlapping", "b"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # singleton groups go to the in-part
+            splits = [split_groups_random(groupings[0], seed=s) for s in range(3)]
+        gammas = [rng.uniform(0.5, 2.0, g.n_groups) for g in groupings]
+        args = (X, w, omega, beta, groupings, splits, gammas, 0.7)
+        direct, direct_warnings = _systems_by_route("direct", *args)
+        gram, gram_warnings = _systems_by_route("gram", *args)
+        assert gram_warnings == direct_warnings
+        if kind == "singleton":
+            assert direct_warnings
+            assert all("empty out-part dropped" in m for m in direct_warnings)
+        for ref, got in zip(direct, gram):
+            assert got.group_labels == ref.group_labels
+            assert np.array_equal(got.b, ref.b)
+            scale = np.abs(ref.A).max(initial=0.0)
+            assert np.abs(got.A - ref.A).max(initial=0.0) <= 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "n_pen,r,nnz,n_groups,route",
+        [
+            (8000, 150, 8000, 40, "gram"),  # gaussian-wide
+            (2000, 100, 2000, 20, "gram"),  # binomial-cv
+            (200, 200, 600, 7, "direct"),  # codata-hier, hierarchy source
+            (200, 200, 200, 20, "direct"),  # codata-hier, partition source
+            (200, 100, 200, 10, "direct"),  # cox-cli
+        ],
+    )
+    def test_route_for_benchmark_shapes(self, n_pen, r, nnz, n_groups, route):
+        assert mom._route(n_pen, r, nnz, n_groups, n_splits=10) == route
+
+    def test_split_halves_must_partition_groups(self):
+        X, w, omega, beta = rand_instance(23, 8, 6)
+        core = compute_moment_core(X, w, omega, beta)
+        g = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=6)
+        split = GroupSplit(in_groups=((0,), (3,)), out_groups=((1,), (4, 5)), seed=0)
+        with pytest.raises(DataError, match="partition"):
+            build_split_systems(core, g, split)
+
+
+def _count_passes(monkeypatch):
+    """Record every pass over C (a call of ``MomentCore.iter_row_blocks``)."""
+    passes = []
+    iter_row_blocks = MomentCore.iter_row_blocks
+
+    def counted(core):
+        passes.append(1)
+        return iter_row_blocks(core)
+
+    monkeypatch.setattr(MomentCore, "iter_row_blocks", counted)
+    return passes
+
+
+def _equal_groups(p, G):
+    return Grouping(groups=tuple(tuple(range(k, k + p // G)) for k in range(0, p, p // G)), p=p)
+
+
+def _two_sources(p):
+    overlapping = (tuple(range(0, 2 * p // 3)), tuple(range(p // 2, p)))
+    return [_equal_groups(p, 4), Grouping(groups=overlapping, p=p, name="b")]
+
+
+class TestPassesOverC:
+    def test_wide_fit_forms_no_row_of_C(self, monkeypatch):
+        passes = _count_passes(monkeypatch)
+        rng = np.random.default_rng(24)
+        n, p = 20, 800
+        X = rng.standard_normal((n, p))
+        y = X @ rng.normal(0.0, 0.1, p) + rng.standard_normal(n)
+        model = fit_ecpc(X, ResponseFamily.gaussian(y), _two_sources(p))
+        assert passes == []
+        assert model.diagnostics["moments"] == [{"route": "gram", "rank": n}] * 2
+
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    def test_direct_fit_streams_C_once_per_codata_matrix(self, monkeypatch, n_sources):
+        passes = _count_passes(monkeypatch)
         weight_system_passes = []
         weight_system = estimator.build_grouping_weight_system
 
@@ -334,17 +442,30 @@ class TestStreamingPasses:
         n, p = 30, 60
         X = rng.standard_normal((n, p))
         y = X @ rng.normal(0.0, 0.5, p) + rng.standard_normal(n)
-        sources = [
-            Grouping(groups=tuple(tuple(range(k, k + 15)) for k in range(0, p, 15)), p=p),
-            Grouping(groups=(tuple(range(0, 40)), tuple(range(30, p))), p=p, name="b"),
-        ]
-        fit_ecpc(
-            X,
-            ResponseFamily.gaussian(y),
-            sources[:n_sources],
-        )
-        assert 0 < len(passes) <= max_passes
+        model = fit_ecpc(X, ResponseFamily.gaussian(y), _two_sources(p)[:n_sources])
+        assert len(passes) == n_sources
         assert weight_system_passes == ([] if n_sources == 1 else [0])
+        assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}] * n_sources
+
+    def test_split_systems_allocate_no_p_by_G_block(self):
+        # the Gram route keeps G group Grams and forms G in-half Grams, r x r
+        # each with r = n, next to O(p) index and residual vectors; a p x G
+        # product alone (160 000 floats) would be 2.5 times the bound
+        n, p, G = 20, 4000, 40
+        X, w, omega, beta = rand_instance(25, n, p)
+        core = compute_moment_core(X, w, omega, beta)
+        g = _equal_groups(p, G)
+        Z = build_codata_matrix(g)
+        splits = [split_groups_random(g, seed=s) for s in range(3)]
+        tracemalloc.start()
+        try:
+            assert core.plan(Z, n_splits=len(splits)) == "gram"
+            for split in splits:
+                build_split_systems(core, g, split, Z=Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * G * n**2 + 8 * p) * 8
 
 
 class TestUnpenalizedDecoupling:
