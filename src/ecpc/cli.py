@@ -336,7 +336,8 @@ def cmd_fit(args) -> int:
             f"tau_global={_fmt(model.tau_global)} sigma2={_fmt(model.sigma2)} "
             f"converged={model.diagnostics.get('converged')} "
             f"iterations={model.diagnostics.get('iterations')} "
-            f"initial_iterations={model.diagnostics.get('initial_iterations')}\n"
+            f"initial_iterations={model.diagnostics.get('initial_iterations')} "
+            f"cv_newton_steps={model.diagnostics['global_variance']['newton_steps']}\n"
         )
         for name, rec in zip(model.grouping_names, model.diagnostics["moments"]):
             fh.write(f"moments grouping={name} route={rec['route']} rank={rec['rank']}\n")

@@ -153,12 +153,15 @@ def fit_ecpc(
     columns of ``X``); ``hyper`` gives the hypershrinkage kind per source
     (default ridge).  ``forced_hyperlambda`` skips the split-based tuning
     and uses the given strength for every source (mainly for the
-    non-informative limit and for tests).
+    non-informative limit and for tests).  A cox fit takes no intercept:
+    the partial likelihood does not depend on one.
     """
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise DataError("X contains non-finite entries")
     n, p = X.shape
+    if intercept and resp.family == "cox":
+        raise DataError("the cox partial likelihood has no intercept")
     if not codata_list:
         raise DataError("at least one co-data source required")
     for g in codata_list:
@@ -317,6 +320,7 @@ def fit_ecpc(
                 "n_scores_neg_inf": (
                     0 if gv.cv_scores is None else int(np.isneginf(gv.cv_scores).sum())
                 ),
+                "newton_steps": gv.newton_steps,
             },
             "hyperlambda": tuning,
             "moments": moments,

@@ -3,9 +3,13 @@
 The penalised estimate maximises ``loglik(beta) - 0.5 * beta' Omega beta``
 with a diagonal precision ``Omega``, optionally less an L1 term.  Every fit
 runs the one damped Newton loop of :func:`fit_weighted_ridge` on the terms of
-:func:`family_terms`, the only family-specific code.  All linear solves go
-through an n x n dual form when p > n, so high-dimensional fits never build
-p x p matrices.
+:func:`family_terms` and :func:`information_factor`, the only family-specific
+code.  Its Newton steps use the exact information: ``X' diag(w) X`` for
+gaussian and binomial, and for cox that less the rank-E risk-set term
+``G' G`` of the Breslow partial likelihood, so Cox fits converge
+quadratically.  All linear solves go through an n x n dual form when more
+than n columns are penalised, so high-dimensional fits never build p x p
+matrices.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "GlobalVariance",
     "fit_weighted_ridge",
     "family_terms",
+    "information_factor",
     "moment_weights",
     "breslow_cumhaz",
     "martingale_residuals",
@@ -164,12 +169,19 @@ class RidgeFit:
     separation: bool = False
 
 
-def solve_penalized_system(X, weights, omega_diag, rhs):
-    """Solve ``(X' diag(w) X + diag(omega)) Z = rhs`` for one or more columns.
+def solve_penalized_system(X, weights, omega_diag, rhs, G=None):
+    """Solve ``(X' diag(w) X - G' G + diag(omega)) Z = rhs`` for one or more
+    columns.
 
     Uses a dense p x p Cholesky when at most n columns are penalised,
     otherwise the n x n dual form (with a Schur complement for unpenalised
-    coordinates, whose omega is 0).
+    coordinates, whose omega is 0).  The optional ``G`` (E x p, from
+    :func:`information_factor`) must leave the system positive definite.
+    The primal form subtracts ``G' G`` from the matrix; the dual form
+    applies a rank-E Woodbury correction to its penalised block and then
+    one step of iterative refinement, because the correction's E x E
+    system carries the square of the conditioning that small penalties
+    give the kernel.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -179,8 +191,12 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
     single = rhs.ndim == 1
     B = rhs[:, None] if single else rhs
 
+    if G is not None and not len(G):
+        G = None
     if p <= n or np.count_nonzero(omega > 0) <= n:
         M = (X.T * w) @ X + np.diag(omega)
+        if G is not None:
+            M -= G.T @ G
         try:
             c, low = cho_factor(M)
             Z = cho_solve((c, low), B)
@@ -190,6 +206,16 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
             )
         return Z[:, 0] if single else Z
 
+    Z = _solve_dual(X, w, omega, B, G)
+    if G is not None:
+        R = B - (X.T @ (w[:, None] * (X @ Z)) - G.T @ (G @ Z) + omega[:, None] * Z)
+        Z += _solve_dual(X, w, omega, R, G)
+    return Z[:, 0] if single else Z
+
+
+def _solve_dual(X, w, omega, B, G):
+    """The dual form of :func:`solve_penalized_system` for a 2-D ``B``."""
+    n = len(w)
     pen = omega > 0
     unp = ~pen
     sq = np.sqrt(omega[pen])
@@ -211,15 +237,37 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
         Zp[:, u:] /= sq[:, None]
     else:
         Zp = B / sq[:, None]
+    if G is not None:
+        Gp = G[:, pen]
+        Zp = np.hstack([Zp, Gp.T / sq[:, None]])
     # M_PP^{-1} = Omega_P^{-1/2} (I - S' K^{-1} S) Omega_P^{-1/2}
     Zp -= S.T @ cho_solve(cK, S @ Zp)
     Zp /= sq[:, None]
+    if G is not None:
+        # (M_PP - Gp' Gp)^{-1} = M_PP^{-1} + Y C^{-1} Y' with Y = M_PP^{-1} Gp'
+        # and C = I - Gp Y, positive definite with the corrected block
+        E = len(G)
+        Y, Zp = Zp[:, -E:], Zp[:, :-E]
+        if u:
+            Zp[:, :u] -= Y @ G[:, unp]  # the coupling block less Gp' G_U
+        C = np.eye(E) - Gp @ Y
+        try:
+            cC = cho_factor(C)
+        except np.linalg.LinAlgError:
+            raise SingularSystemError(
+                f"risk-set correction singular (cond={np.linalg.cond(C):.3e})"
+            )
+        Zp += Y @ cho_solve(cC, Gp @ Zp)
     if not u:
-        return Zp[:, 0] if single else Zp
+        return Zp
 
     M_pu = sq[:, None] * Su
+    schur = (Xu.T * w) @ Xu
+    if G is not None:
+        M_pu -= Gp.T @ G[:, unp]
+        schur -= G[:, unp].T @ G[:, unp]
     Minv_pu, Minv_bp = Zp[:, :u], Zp[:, u:]
-    schur = (Xu.T * w) @ Xu - M_pu.T @ Minv_pu
+    schur -= M_pu.T @ Minv_pu
     try:
         cS = cho_factor(schur)
     except np.linalg.LinAlgError:
@@ -231,19 +279,21 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
     Z = np.empty_like(B)
     Z[pen] = Minv_bp
     Z[unp] = Zu
-    return Z[:, 0] if single else Z
+    return Z
 
 
 def family_terms(resp: ResponseFamily, lp):
     """Log-likelihood, score residuals and information weights at ``lp``.
 
     The score of the coefficients is ``X' score_resid`` and the information
-    is approximated by ``X' diag(info_weights) X``.  gaussian: ``(y - lp) /
-    sigma2`` and ``1 / sigma2``; binomial: ``y - p`` and ``p (1 - p)``; cox
-    (partial likelihood, tied times sharing a risk set): the martingale
-    residuals ``status - H0 exp(lp)`` and ``H0 exp(lp)``, with ``H0`` the
-    Breslow cumulative hazard at each sample's own time.  This is the only
-    family-specific code of the fits.
+    is ``X' diag(info_weights) X``, less ``G' G`` for cox (see
+    :func:`information_factor`).  gaussian: ``(y - lp) / sigma2`` and
+    ``1 / sigma2``; binomial: ``y - p`` and ``p (1 - p)``; cox (partial
+    likelihood, tied times sharing a risk set): the martingale residuals
+    ``status - H0 exp(lp)`` and ``H0 exp(lp)``, with ``H0`` the Breslow
+    cumulative hazard at each sample's own time.  With
+    :func:`information_factor` this is the only family-specific code of the
+    fits.
     """
     lp = np.asarray(lp, dtype=float)
     if resp.family == "gaussian":
@@ -264,6 +314,30 @@ def family_terms(resp: ResponseFamily, lp):
     H0 = np.cumsum((events / risk)[::-1])[::-1][block]
     info = H0 * elp
     return float(ll), resp.status - info, info
+
+
+def information_factor(resp: ResponseFamily, lp, X):
+    """Low-rank factor ``G = A' X`` of the exact cox information, else None.
+
+    The negative Hessian of the cox partial log-likelihood in ``lp`` is
+    ``diag(info_weights) - A A'``, where column e of ``A`` is
+    ``sqrt(d_e) / R_e * exp(lp)`` on the risk set of event block e (``d_e``
+    events, risk-set sum ``R_e``; Therneau & Grambsch 2000, ch. 3).  ``G``
+    has one row per block with events (E x p, no rows when all samples are
+    censored) and comes from one cumulative sum of ``exp(lp) X`` over the
+    rows sorted by descending time, kept at the block ends.
+    """
+    if resp.family != "cox":
+        return None
+    order, ends, _, events = resp._risk_sets
+    elp = np.exp(np.asarray(lp, dtype=float))[order]
+    ev = events > 0
+    risk = np.cumsum(elp)[ends[ev]]
+    Xs = np.asarray(X, dtype=float)[order]
+    Xs *= elp[:, None]
+    G = np.cumsum(Xs, axis=0, out=Xs)[ends[ev]]
+    G *= (np.sqrt(events[ev]) / risk)[:, None]
+    return G
 
 
 def family_loglik(resp: ResponseFamily, lp: np.ndarray) -> float:
@@ -296,7 +370,8 @@ def martingale_residuals(times, status, lp, H0) -> np.ndarray:
 def moment_weights(resp: ResponseFamily, lp) -> np.ndarray:
     """Information-scale weights used by the moment systems: the Fisher
     information of the linear predictor per sample (``1 / sigma2`` for
-    gaussian, ``p (1 - p)`` for binomial, ``H0 exp(lp)`` for cox)."""
+    gaussian, ``p (1 - p)`` for binomial, the diagonal ``H0 exp(lp)`` for
+    cox, without the risk-set term of :func:`information_factor`)."""
     return family_terms(resp, lp)[2]
 
 
@@ -314,10 +389,11 @@ def fit_weighted_ridge(
     The one Newton loop of every penalised fit (IRLS; a proximal Newton
     method when ``lam1 > 0``, whose L1 term spares the unpenalised
     coordinates).  Each step maximises the quadratic model built from
-    :func:`family_terms` at the current iterate, by
-    :func:`solve_penalized_system` when ``lam1 == 0`` and by
-    :func:`elastic_net_cd` on the working response otherwise, and is halved
-    until the objective does not fall.  ``beta0`` warm-starts the steps
+    :func:`family_terms` and :func:`information_factor` at the current
+    iterate, by :func:`solve_penalized_system` when ``lam1 == 0`` and by
+    :func:`elastic_net_cd` on the working response otherwise (for cox with
+    the rows of ``G`` appended at weight -1), and is halved until the
+    objective does not fall.  ``beta0`` warm-starts the steps
     (default: zeros).  The stop rule is tested at each accepted iterate, on
     the minimum-norm subgradient ``g`` of the objective (the penalised score
     when ``lam1 == 0``): the loop stops once ``max|g| < 1e-8 (1 + |obj|)``,
@@ -354,11 +430,14 @@ def fit_weighted_ridge(
     it = 0
     for it in range(1, max_iter + 1):
         w = np.maximum(w, 1e-12)
+        G = information_factor(resp, lp, X)
         if lam1 == 0:
-            step = solve_penalized_system(X, w, omega, grad)
+            step = solve_penalized_system(X, w, omega, grad, G)
         else:
-            z = lp + resid / w  # working response
-            step = elastic_net_cd(X, w, z, lam1, omega, ~unpen, beta0=beta) - beta
+            Xq, wq, zq = X, w, lp + resid / w  # working response
+            if G is not None:  # the quadratic model less 0.5 |G (b - beta)|^2
+                Xq, wq, zq = np.vstack([X, G]), np.r_[w, -np.ones(len(G))], np.r_[zq, G @ beta]
+            step = elastic_net_cd(Xq, wq, zq, lam1, omega, ~unpen, beta0=beta) - beta
         t = 1.0
         while True:
             trial = beta + t * step
@@ -410,7 +489,10 @@ def elastic_net_cd(X, w, z, lam1, ridge=None, pen=None, beta0=None):
 
     Minimises ``0.5 * sum_i w_i (z_i - x_i' b)^2 + 0.5 * sum_j ridge_j b_j^2
     + lam1 * sum_{j in pen} |b_j|`` (default: no ridge, every coordinate
-    penalised; ``w`` may be a scalar).  The active set starts as the
+    penalised; ``w`` may be a scalar).  Weights may be negative, as for the
+    rows of a subtracted low-rank term, as long as the quadratic stays
+    positive semi-definite: then every ``col_sq + ridge >= 0`` and each
+    coordinate update is a minimisation.  The active set starts as the
     non-zero and unpenalised coordinates of ``beta0`` plus those violating
     the zero-subgradient condition ``|x_j' r| <= lam1`` there.  Sweeps
     visit only the active set, each one not yet converged followed by
@@ -512,6 +594,7 @@ class GlobalVariance:
     lambda_star: float | None = None
     grid: np.ndarray | None = None
     cv_scores: np.ndarray | None = None
+    newton_steps: int = 0  # of all cross-validation fits, capped ones included
 
     @property
     def on_grid_boundary(self) -> bool:
@@ -626,6 +709,7 @@ def estimate_global_variance(
     if len(fold_ids) < 2:
         raise DataError("cross-validation needs at least 2 folds")
     scores = np.zeros((len(grid), len(fold_ids)))
+    steps = 0
     for fi, f in enumerate(fold_ids):
         test = folds == f
         train = ~test
@@ -633,7 +717,7 @@ def estimate_global_variance(
             raise DataError(f"fold {f} leaves a single class in the training split")
         # scale the total penalty by the fold's sample fraction so the
         # per-observation regularisation matches the full-data level
-        scores[:, fi] = _fold_path_scores(
+        scores[:, fi], fold_steps = _fold_path_scores(
             X[train],
             resp.subset(train),
             X[test],
@@ -641,6 +725,7 @@ def estimate_global_variance(
             mask,
             grid * train.sum() / n,
         )
+        steps += fold_steps
     mean_scores = scores.mean(axis=1)
     lam_star = float(grid[int(np.argmax(mean_scores))])
     gv = GlobalVariance(
@@ -649,6 +734,7 @@ def estimate_global_variance(
         lambda_star=lam_star,
         grid=grid,
         cv_scores=mean_scores,
+        newton_steps=steps,
     )
     if gv.on_grid_boundary:
         warnings.warn("global-penalty optimum on the grid boundary", stacklevel=2)
@@ -668,7 +754,9 @@ def _fold_path_scores(X_tr, resp_tr, X_te, resp_te, mask, penalties):
     changes, so a slowly converging fit may stop a step apart.)  The
     penalties are fitted from the largest down, each warm-started from the
     one before; the first failure scores -inf, and so do all smaller
-    penalties, which are not fitted.
+    penalties, which are not fitted.  Returns the scores and the Newton
+    steps of all fits; a fit stopped by the iteration cap counts its steps,
+    one stopped by a singular system none.
     """
     U, d, Vt = np.linalg.svd(X_tr[:, ~mask], full_matrices=False)
     Z_tr = np.hstack([U * d, X_tr[:, mask]])
@@ -676,11 +764,17 @@ def _fold_path_scores(X_tr, resp_tr, X_te, resp_te, mask, penalties):
     mask_rot = np.arange(Z_tr.shape[1]) >= len(d)
     scores = np.full(len(penalties), -np.inf)
     beta = None
+    steps = 0
     for k in np.argsort(-penalties, kind="stable"):
         state = PenaltyState.uniform(1.0 / penalties[k], Z_tr.shape[1], mask_rot)
         try:
-            beta = fit_weighted_ridge(Z_tr, resp_tr, state, beta0=beta).beta
-        except (ConvergenceError, SingularSystemError):
+            fit = fit_weighted_ridge(Z_tr, resp_tr, state, beta0=beta)
+        except ConvergenceError as err:
+            steps += err.last_iterate.iterations
             break
+        except SingularSystemError:
+            break
+        steps += fit.iterations
+        beta = fit.beta
         scores[k] = family_loglik(resp_te, Z_te @ beta)
-    return scores
+    return scores, steps

@@ -145,12 +145,30 @@ class TestFitCommand:
         doc = json.loads((out / "model.json").read_text())
         diag = doc["diagnostics"]
         assert f"iterations={diag['iterations']} " in log
-        assert f"initial_iterations={diag['initial_iterations']}" in log
+        assert f"initial_iterations={diag['initial_iterations']} " in log
+        assert diag["global_variance"]["newton_steps"] == 0  # gaussian: no CV fits
+        assert "cv_newton_steps=0\n" in log
         assert diag["moments"] == [{"route": "direct", "rank": X.shape[0]}]
         name = doc["grouping_names"][0]
         assert f"moments grouping={name} route=direct rank={X.shape[0]}\n" in log
         assert doc["feature_names"] == names
         assert len(doc["beta"]) == X.shape[1]
+
+    def test_cox_fit_logs_cv_newton_steps(self, tmp_path):
+        xp, yp, cp, *_ = make_dataset(tmp_path, seed=4, family="cox")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--command", "fit", "--family", "cox", "--x", xp, "--y", yp,
+                "--codata", cp, "--folds", "5", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        steps = json.loads((out / "model.json").read_text())["diagnostics"][
+            "global_variance"
+        ]["newton_steps"]
+        assert 250 <= steps <= 30 * 250  # 5 folds x 50 penalties, each fit 1-30 steps
+        assert f"cv_newton_steps={steps}\n" in (out / "fit.log").read_text()
 
     def test_fit_with_selection(self, tmp_path):
         xp, yp, cp, X, beta, names = make_dataset(tmp_path, seed=3)

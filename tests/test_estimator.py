@@ -13,6 +13,7 @@ from ecpc import (
     predict,
     solve_grouping_weights,
 )
+from ecpc import glm
 from ecpc.codata import build_codata_matrix, build_hierarchy_from_continuous
 from ecpc.glm import PenaltyState, estimate_global_variance, fit_weighted_ridge
 from ecpc.hypershrinkage import solve_hierarchical_lasso
@@ -271,6 +272,28 @@ class TestEdgeCases:
         assert np.isfinite(model.beta).all() and np.isfinite(model.tau_local).all()
         assert np.isfinite(model.baseline_cumhaz).all()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cox_single_event(self, seed):
+        # The Newton fits converge (the CV, the initial fit); the moment
+        # estimates then leave every group variance at zero.
+        rng, X, g = edge_data(seed)
+        status = np.zeros(len(X))
+        status[5] = 1.0
+        resp = ResponseFamily.cox(rng.exponential(1.0, len(X)), status)
+        gv = estimate_global_variance(X, resp)
+        assert np.isfinite(gv.cv_scores).all()
+        state = PenaltyState.uniform(gv.tau_global, X.shape[1])
+        assert fit_weighted_ridge(X, resp, state).converged
+        with pytest.raises(DataError, match="all local variances are zero"):
+            fit_ecpc(X, resp, [g])
+
+    def test_cox_intercept_rejected(self):
+        # the exact information is singular along a constant column
+        rng, X, g = edge_data(57)
+        resp = ResponseFamily.cox(rng.exponential(1.0, len(X)), np.ones(len(X)))
+        with pytest.raises(DataError, match="no intercept"):
+            fit_ecpc(X, resp, [g], intercept=True)
+
     def test_cox_all_censored_zero_beta(self):
         rng, X, g = edge_data(54)
         resp = ResponseFamily.cox(rng.exponential(1.0, len(X)), np.zeros(len(X)))
@@ -359,19 +382,30 @@ class TestSerialization:
             "lambda_star": None,
             "on_grid_boundary": False,
             "n_scores_neg_inf": 0,
+            "newton_steps": 0,
         }
         assert back.diagnostics["moments"] == [{"route": "direct", "rank": X.shape[0]}]
         Xn = np.random.default_rng(1).standard_normal((5, X.shape[1]))
         assert np.array_equal(predict(back, Xn), predict(model, Xn))
 
-    def test_round_trip_cox(self):
+    def test_round_trip_cox(self, monkeypatch):
         rng = np.random.default_rng(41)
         n, p = 60, 16
         X = rng.standard_normal((n, p))
         resp = ResponseFamily.cox(
             rng.exponential(1.0, n), (rng.random(n) < 0.6).astype(int)
         )
+        cv_steps = []
+        fit = glm.fit_weighted_ridge
+
+        def counted(*args, **kwargs):
+            out = fit(*args, **kwargs)
+            cv_steps.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(glm, "fit_weighted_ridge", counted)  # the CV's fits only
         model = fit_ecpc(X, resp, [disjoint_grouping(p, 2)])
+        monkeypatch.undo()
         back = model_from_json(model_to_json(model))
         assert np.array_equal(back.baseline_times, model.baseline_times)
         assert np.array_equal(back.baseline_cumhaz, model.baseline_cumhaz)
@@ -379,6 +413,7 @@ class TestSerialization:
         assert np.isclose(record["lambda_star"], 1.0 / model.tau_global)
         assert isinstance(record["on_grid_boundary"], bool)
         assert isinstance(record["n_scores_neg_inf"], int)
+        assert len(cv_steps) == 500 and record["newton_steps"] == sum(cv_steps)
         assert model.diagnostics["initial_iterations"] >= 1
         assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}]
         assert back.diagnostics == model.diagnostics
