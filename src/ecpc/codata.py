@@ -66,12 +66,17 @@ class HierTree:
         """Node indices from the root down to ``node`` (inclusive)."""
         path = [node]
         while self.parent[path[-1]] is not None:
+            if len(path) > self.n_nodes:
+                raise DataError(f"node {node} cannot reach the root (a parent cycle)")
             path.append(self.parent[path[-1]])
         return path[::-1]
 
     def validate_against(self, groups: list[tuple[int, ...]]) -> None:
-        """Check nesting/partition invariants with respect to group member sets."""
+        """Check that every node reaches the root and the nesting/partition
+        invariants with respect to group member sets."""
         root = self.root
+        for node in range(self.n_nodes):
+            self.path_to_root(node)
         for i, par in enumerate(self.parent):
             if par is None:
                 continue
@@ -213,18 +218,11 @@ def split_groups_random(grouping: Grouping, seed: int) -> GroupSplit:
             in_groups.append(tuple(g))
             out_groups.append(())
             continue
-        perm = rng.permutation(size)
+        shuffled = np.asarray(g)[rng.permutation(size)]
         n_in = math.ceil(size / 2)
-        arr = np.asarray(g)
-        in_groups.append(tuple(sorted(arr[perm[:n_in]].tolist())))
-        out_groups.append(tuple(sorted(arr[perm[n_in:]].tolist())))
+        in_groups.append(tuple(np.sort(shuffled[:n_in]).tolist()))
+        out_groups.append(tuple(np.sort(shuffled[n_in:]).tolist()))
     return GroupSplit(in_groups=tuple(in_groups), out_groups=tuple(out_groups), seed=seed)
-
-
-def _median_split(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # order is already sorted by (value, original index); cut after ceil(n/2)
-    n_lo = math.ceil(len(order) / 2)
-    return order[:n_lo], order[n_lo:]
 
 
 def build_hierarchy_from_continuous(
@@ -280,7 +278,8 @@ def build_hierarchy_from_continuous(
             return
         if math.floor(len(members) / 2) < min_group_size:
             return
-        lo, hi = _median_split(members)
+        n_lo = math.ceil(len(members) / 2)  # members sorted by (value, index)
+        lo, hi = members[:n_lo], members[n_lo:]
         lo_node = add_node(lo, node)
         recurse(lo, lo_node, True)
         hi_node = add_node(hi, node)

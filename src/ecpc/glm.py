@@ -7,9 +7,10 @@ runs the one damped Newton loop of :func:`fit_weighted_ridge` on the terms of
 code.  Its Newton steps use the exact information: ``X' diag(w) X`` for
 gaussian and binomial, and for cox that less the rank-E risk-set term
 ``G' G`` of the Breslow partial likelihood, so Cox fits converge
-quadratically.  All linear solves go through an n x n dual form when more
-than n columns are penalised, so high-dimensional fits never build p x p
-matrices.
+quadratically.  Each step's quadratic model is one set of rows with signed
+weights, ``[X; G]`` at ``[w; -1]``.  All linear solves go through a dual
+form on those rows when more columns are penalised than rows are passed,
+so high-dimensional fits never build p x p matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -169,116 +170,104 @@ class RidgeFit:
     separation: bool = False
 
 
-def solve_penalized_system(X, weights, omega_diag, rhs, G=None):
-    """Solve ``(X' diag(w) X - G' G + diag(omega)) Z = rhs`` for one or more
-    columns.
+def solve_penalized_system(X, weights, omega_diag, rhs):
+    """Solve ``(X' diag(w) X + diag(omega)) Z = rhs`` for one or more columns.
 
-    Uses a dense p x p Cholesky when at most n columns are penalised,
-    otherwise the n x n dual form (with a Schur complement for unpenalised
-    coordinates, whose omega is 0).  The optional ``G`` (E x p, from
-    :func:`information_factor`) must leave the system positive definite.
-    The primal form subtracts ``G' G`` from the matrix; the dual form
-    applies a rank-E Woodbury correction to its penalised block and then
-    one step of iterative refinement, because the correction's E x E
-    system carries the square of the conditioning that small penalties
-    give the kernel.
+    Weights may be negative, as for the rows of a subtracted low-rank term
+    (the cox risk-set rows of :func:`information_factor`), as long as the
+    matrix stays positive definite.  Uses a dense p x p Cholesky when at
+    most as many columns are penalised as rows are passed, otherwise the
+    dual form of :func:`_solve_dual` (with a Schur complement for
+    unpenalised coordinates, whose omega is 0).
     """
     X = np.asarray(X, dtype=float)
-    n, p = X.shape
+    n = len(X)
     w = np.broadcast_to(np.asarray(weights, dtype=float), (n,))
     omega = np.asarray(omega_diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     single = rhs.ndim == 1
     B = rhs[:, None] if single else rhs
 
-    if G is not None and not len(G):
-        G = None
-    if p <= n or np.count_nonzero(omega > 0) <= n:
+    if np.count_nonzero(omega > 0) <= n:
         M = (X.T * w) @ X + np.diag(omega)
-        if G is not None:
-            M -= G.T @ G
         try:
-            c, low = cho_factor(M)
-            Z = cho_solve((c, low), B)
+            Z = cho_solve(cho_factor(M), B)
         except np.linalg.LinAlgError:
-            raise SingularSystemError(
-                f"penalised system singular (cond={np.linalg.cond(M):.3e})"
-            )
-        return Z[:, 0] if single else Z
-
-    Z = _solve_dual(X, w, omega, B, G)
-    if G is not None:
-        R = B - (X.T @ (w[:, None] * (X @ Z)) - G.T @ (G @ Z) + omega[:, None] * Z)
-        Z += _solve_dual(X, w, omega, R, G)
+            raise SingularSystemError(f"penalised system singular (cond={np.linalg.cond(M):.3e})")
+    else:
+        Z = _solve_dual(X, w, omega, B)
     return Z[:, 0] if single else Z
 
 
-def _solve_dual(X, w, omega, B, G):
-    """The dual form of :func:`solve_penalized_system` for a 2-D ``B``."""
-    n = len(w)
+def _solve_dual(X, w, omega, B):
+    """The dual form of :func:`solve_penalized_system` for a 2-D ``B``.
+
+    With ``S = |W|^{1/2} X_P Omega_P^{-1/2}`` and ``D`` the sign of each
+    weight (+1 at zero), Woodbury gives ``M_PP^{-1} = Omega_P^{-1/2}
+    (I - S' K^{-1} S) Omega_P^{-1/2}`` with the n x n kernel
+    ``K = D + S S'``, factored once: by Cholesky, or by LU when a weight is
+    negative and ``K`` is indefinite.  A negative weight also gets one step
+    of iterative refinement, which applies the same factors to the residual:
+    at small penalties the indefinite form alone loses accuracy (up to 1e-5
+    relative at penalty 1e-4 on small cox problems), refined it does not.
+    """
     pen = omega > 0
     unp = ~pen
-    sq = np.sqrt(omega[pen])
-    sw = np.sqrt(w)
-    S = X[:, pen]  # becomes W^{1/2} X_P Omega_P^{-1/2}, scaled in place
-    S *= sw[:, None]
-    S /= sq
-    K = np.eye(n) + S @ S.T
-    try:
-        cK = cho_factor(K)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(f"dual kernel singular (cond={np.linalg.cond(K):.3e})")
     u = int(unp.sum())
+    sq = np.sqrt(omega[pen])[:, None]
+    sign = np.where(w < 0, -1.0, 1.0)
+    indefinite = sign.min() < 0
+    sw = np.sqrt(np.abs(w))
+    S = X[:, pen]  # becomes |W|^{1/2} X_P Omega_P^{-1/2}, scaled in place
+    S *= sw[:, None]
+    S /= sq.T
+    K = S @ S.T
+    K.flat[:: len(K) + 1] += sign
+    factor, solve = (lu_factor, lu_solve) if indefinite else (cho_factor, cho_solve)
+    try:
+        fK = factor(K)
+        if indefinite and not fK[0].diagonal().all():  # an exactly singular LU
+            raise np.linalg.LinAlgError
+    except (np.linalg.LinAlgError, LinAlgWarning):  # the LU's warning, if made an error
+        raise SingularSystemError(f"dual kernel singular (cond={np.linalg.cond(K):.3e})")
+
+    def solve_pen(Zp):  # M_PP^{-1} Omega_P^{1/2} Zp, in place
+        Zp -= S.T @ solve(fK, S @ Zp)
+        Zp /= sq
+        return Zp
+
     if u:
         # one Woodbury solve for the coupling block and the penalised rhs
         Xu = X[:, unp]
-        Su = S.T @ (sw[:, None] * Xu)  # Omega_P^{-1/2} X_P' W X_U
+        Su = S.T @ ((sign * sw)[:, None] * Xu)  # Omega_P^{-1/2} X_P' W X_U
         Zp = np.hstack([Su, B[pen]])
-        Zp[:, u:] /= sq[:, None]
-    else:
-        Zp = B / sq[:, None]
-    if G is not None:
-        Gp = G[:, pen]
-        Zp = np.hstack([Zp, Gp.T / sq[:, None]])
-    # M_PP^{-1} = Omega_P^{-1/2} (I - S' K^{-1} S) Omega_P^{-1/2}
-    Zp -= S.T @ cho_solve(cK, S @ Zp)
-    Zp /= sq[:, None]
-    if G is not None:
-        # (M_PP - Gp' Gp)^{-1} = M_PP^{-1} + Y C^{-1} Y' with Y = M_PP^{-1} Gp'
-        # and C = I - Gp Y, positive definite with the corrected block
-        E = len(G)
-        Y, Zp = Zp[:, -E:], Zp[:, :-E]
-        if u:
-            Zp[:, :u] -= Y @ G[:, unp]  # the coupling block less Gp' G_U
-        C = np.eye(E) - Gp @ Y
+        Zp[:, u:] /= sq
+        Minv_pu, Zp = np.hsplit(solve_pen(Zp), [u])
+        M_pu = sq * Su
+        schur = (Xu.T * w) @ Xu
+        schur -= M_pu.T @ Minv_pu
         try:
-            cC = cho_factor(C)
+            cS = cho_factor(schur)
         except np.linalg.LinAlgError:
             raise SingularSystemError(
-                f"risk-set correction singular (cond={np.linalg.cond(C):.3e})"
+                f"unpenalised block not identifiable (cond={np.linalg.cond(schur):.3e})"
             )
-        Zp += Y @ cho_solve(cC, Gp @ Zp)
-    if not u:
-        return Zp
+    else:
+        Zp = solve_pen(B / sq)
 
-    M_pu = sq[:, None] * Su
-    schur = (Xu.T * w) @ Xu
-    if G is not None:
-        M_pu -= Gp.T @ G[:, unp]
-        schur -= G[:, unp].T @ G[:, unp]
-    Minv_pu, Minv_bp = Zp[:, :u], Zp[:, u:]
-    schur -= M_pu.T @ Minv_pu
-    try:
-        cS = cho_factor(schur)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(
-            f"unpenalised block not identifiable (cond={np.linalg.cond(schur):.3e})"
-        )
-    Zu = cho_solve(cS, B[unp] - M_pu.T @ Minv_bp)
-    Minv_bp -= Minv_pu @ Zu
-    Z = np.empty_like(B)
-    Z[pen] = Minv_bp
-    Z[unp] = Zu
+    def finish(Minv_bp, Bu):  # M^{-1} B from M_PP^{-1} B_P
+        if not u:
+            return Minv_bp
+        Zu = cho_solve(cS, Bu - M_pu.T @ Minv_bp)
+        Minv_bp -= Minv_pu @ Zu
+        Z = np.empty_like(B)
+        Z[pen], Z[unp] = Minv_bp, Zu
+        return Z
+
+    Z = finish(Zp, B[unp])
+    if indefinite:
+        R = B - (X.T @ (w[:, None] * (X @ Z)) + omega[:, None] * Z)
+        Z += finish(solve_pen(R[pen] / sq), R[unp])
     return Z
 
 
@@ -345,10 +334,6 @@ def family_loglik(resp: ResponseFamily, lp: np.ndarray) -> float:
     return family_terms(resp, lp)[0]
 
 
-def _cox_partial_loglik(times, status, lp) -> float:
-    return family_loglik(ResponseFamily.cox(times, status), lp)
-
-
 def breslow_cumhaz(times, status, lp) -> np.ndarray:
     """Baseline cumulative hazard at each sample's own time.
 
@@ -390,10 +375,11 @@ def fit_weighted_ridge(
     method when ``lam1 > 0``, whose L1 term spares the unpenalised
     coordinates).  Each step maximises the quadratic model built from
     :func:`family_terms` and :func:`information_factor` at the current
-    iterate, by :func:`solve_penalized_system` when ``lam1 == 0`` and by
-    :func:`elastic_net_cd` on the working response otherwise (for cox with
-    the rows of ``G`` appended at weight -1), and is halved until the
-    objective does not fall.  ``beta0`` warm-starts the steps
+    iterate, whose rows are those of ``X`` at the information weights and,
+    for cox, the rows of ``G`` at weight -1.  The step solves it by
+    :func:`solve_penalized_system` when ``lam1 == 0`` and by
+    :func:`elastic_net_cd` on the working response otherwise, and is halved
+    until the objective does not fall.  ``beta0`` warm-starts the steps
     (default: zeros).  The stop rule is tested at each accepted iterate, on
     the minimum-norm subgradient ``g`` of the objective (the penalised score
     when ``lam1 == 0``): the loop stops once ``max|g| < 1e-8 (1 + |obj|)``,
@@ -430,13 +416,14 @@ def fit_weighted_ridge(
     it = 0
     for it in range(1, max_iter + 1):
         w = np.maximum(w, 1e-12)
+        Xq, wq = X, w
         G = information_factor(resp, lp, X)
+        if G is not None:  # the model less 0.5 |G (b - beta)|^2: G's rows at weight -1
+            Xq, wq = np.vstack([X, G]), np.concatenate([w, np.full(len(G), -1.0)])
         if lam1 == 0:
-            step = solve_penalized_system(X, w, omega, grad, G)
+            step = solve_penalized_system(Xq, wq, omega, grad)
         else:
-            Xq, wq, zq = X, w, lp + resid / w  # working response
-            if G is not None:  # the quadratic model less 0.5 |G (b - beta)|^2
-                Xq, wq, zq = np.vstack([X, G]), np.r_[w, -np.ones(len(G))], np.r_[zq, G @ beta]
+            zq = np.concatenate([lp + resid / w, Xq[n:] @ beta])  # working response
             step = elastic_net_cd(Xq, wq, zq, lam1, omega, ~unpen, beta0=beta) - beta
         t = 1.0
         while True:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -321,10 +322,7 @@ def build_split_systems(
     """
     if Z is None:
         Z = build_codata_matrix(grouping)
-    halves = zip(split.in_groups, split.out_groups, grouping.groups)
-    if len(split.in_groups) != grouping.n_groups or any(
-        tuple(sorted(part_in + part_out)) != group for part_in, part_out, group in halves
-    ):
+    if not _halves_partition(split, grouping):
         raise DataError("split halves must partition the grouping's groups")
     sums_in = core._sums(Z, split.in_groups)
     sums_out = core._group_sums(Z, grouping.groups) - sums_in
@@ -344,6 +342,18 @@ def build_split_systems(
         restricted(split.in_groups, sums_in, "in"),
         restricted(split.out_groups, sums_out, "out"),
     )
+
+
+def _halves_partition(split: GroupSplit, grouping: Grouping) -> bool:
+    """Whether a split's halves partition each group of the grouping."""
+    halves = [a + b for a, b in zip(split.in_groups, split.out_groups)]
+    sizes = [len(h) for h in halves]
+    if sizes != grouping.sizes.tolist():
+        return False
+    members = np.fromiter(chain.from_iterable(halves), dtype=int)
+    in_group = np.repeat(np.arange(len(halves)), sizes)  # sort within each group only
+    whole = np.fromiter(chain.from_iterable(grouping.groups), dtype=int)
+    return np.array_equal(members[np.lexsort((members, in_group))], whole)
 
 
 def build_grouping_weight_system(

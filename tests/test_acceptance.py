@@ -29,7 +29,7 @@ from ecpc import (
     solve_ridge_hyper,
 )
 from ecpc.cli import _simulate_one, auc_mann_whitney
-from ecpc.glm import PenaltyState, _cox_partial_loglik
+from ecpc.glm import PenaltyState, family_loglik
 from ecpc.hypershrinkage import group_size_scaling, lasso_null_threshold
 from ecpc.mom import (
     MomentSystem,
@@ -346,7 +346,7 @@ def test_criterion_6_cox():
     lam = 2.0
 
     def obj(beta):
-        return -_cox_partial_loglik(t6, s6, X @ beta) + 0.5 * lam * beta @ beta
+        return -family_loglik(resp, X @ beta) + 0.5 * lam * beta @ beta
 
     beta = np.zeros(p)
     h = 1e-5

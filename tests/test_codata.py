@@ -89,6 +89,20 @@ class TestGroupSplit:
             assert set(inn) | set(out) == set(src)
             assert set(inn) & set(out) == set()
 
+    def test_halves_are_the_sorted_seeded_permutation(self):
+        # each group's halves are the sorted first ceil(|g|/2) and remaining
+        # members of one seeded permutation per group, as Python ints
+        g = grp([tuple(range(0, 15, 2)), tuple(range(1, 15, 2)), tuple(range(5, 12))], 15)
+        for seed in range(5):
+            s = split_groups_random(g, seed=seed)
+            rng = np.random.default_rng(seed)
+            for members, inn, out in zip(g.groups, s.in_groups, s.out_groups):
+                shuffled = [members[k] for k in rng.permutation(len(members))]
+                n_in = (len(members) + 1) // 2
+                assert inn == tuple(sorted(shuffled[:n_in]))
+                assert out == tuple(sorted(shuffled[n_in:]))
+                assert all(type(k) is int for k in inn + out)
+
     def test_singleton_goes_in_with_warning(self):
         g = grp([(0,), (1, 2)], 3)
         with pytest.warns(UserWarning):
@@ -182,6 +196,25 @@ class TestFileFormats:
         assert g.tree is not None
         assert g.tree.root == 0
         g.tree.validate_against(list(g.groups))
+
+    def test_grouping_json_parent_cycle_rejected(self, tmp_path):
+        # "a" and "b" name each other as parent; their member sets are equal,
+        # so only the walk to the root can tell
+        path = tmp_path / "g.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "all": [1, 2, 3, 4, 5, 6],
+                    "a": [1, 2, 3],
+                    "b": [1, 2, 3],
+                    "c": [4, 5, 6],
+                    "d": [1, 2, 3],
+                    "parent": {"a": "b", "b": "a", "c": "all", "d": "all"},
+                }
+            )
+        )
+        with pytest.raises(DataError, match="node 1 cannot reach the root"):
+            load_grouping_json(str(path), p=6)
 
     def test_grouping_json_bad_index(self, tmp_path):
         path = tmp_path / "g.json"

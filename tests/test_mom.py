@@ -385,9 +385,16 @@ class TestRoutes:
         X, w, omega, beta = rand_instance(23, 8, 6)
         core = compute_moment_core(X, w, omega, beta)
         g = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=6)
-        split = GroupSplit(in_groups=((0,), (3,)), out_groups=((1,), (4, 5)), seed=0)
-        with pytest.raises(DataError, match="partition"):
-            build_split_systems(core, g, split)
+        for in_groups, out_groups in [
+            (((0,), (3,)), ((1,), (4, 5))),  # a member missing
+            (((0, 1), (3,)), ((1,), (4, 5))),  # a member twice, sizes equal
+            (((0, 1), (2,)), ((3,), (4, 5))),  # members swapped between groups
+            (((0,), (3,)), ((1, 7), (4, 5))),  # a member out of range
+            (((0, 1), (3, 4)), ((2,),)),  # a group without halves
+        ]:
+            split = GroupSplit(in_groups=in_groups, out_groups=out_groups, seed=0)
+            with pytest.raises(DataError, match="partition"):
+                build_split_systems(core, g, split)
 
 
 def _count_passes(monkeypatch):
