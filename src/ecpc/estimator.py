@@ -239,6 +239,8 @@ def fit_ecpc(
                 "lambda": choice.lam,
                 "on_grid_boundary": choice.on_grid_boundary,
                 "n_grid_extensions": choice.n_grid_extensions,
+                "grid": list(choice.grid),
+                "mean_rss": list(choice.mean_rss),
             }
         )
 

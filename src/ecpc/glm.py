@@ -178,7 +178,10 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
     matrix stays positive definite.  Uses a dense p x p Cholesky when at
     most as many columns are penalised as rows are passed, otherwise the
     dual form of :func:`_solve_dual` (with a Schur complement for
-    unpenalised coordinates, whose omega is 0).
+    unpenalised coordinates, whose omega is 0).  The factorisations skip
+    scipy's finiteness scan of each operand; a test of the weights, the
+    penalties and the solution (and of a matrix that fails to factor)
+    raises its ``ValueError`` instead.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
@@ -187,16 +190,31 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
     rhs = np.asarray(rhs, dtype=float)
     single = rhs.ndim == 1
     B = rhs[:, None] if single else rhs
+    _check_finite(w, omega)  # an infinite weight can give a finite solution
 
     if np.count_nonzero(omega > 0) <= n:
-        M = (X.T * w) @ X + np.diag(omega)
+        M = (X.T * w) @ X
+        M.flat[:: len(M) + 1] += omega
         try:
-            Z = cho_solve(cho_factor(M), B)
+            Z = cho_solve(cho_factor(M, check_finite=False), B, check_finite=False)
         except np.linalg.LinAlgError:
-            raise SingularSystemError(f"penalised system singular (cond={np.linalg.cond(M):.3e})")
+            raise _singular("penalised system singular", M)
     else:
         Z = _solve_dual(X, w, omega, B)
+    _check_finite(Z)
     return Z[:, 0] if single else Z
+
+
+def _check_finite(*arrays):
+    """Raise the ``ValueError`` of scipy's finiteness scan unless all are finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _singular(what, M):
+    """The error for a matrix ``M`` that failed to factor."""
+    _check_finite(M)  # not singular but NaN or infinite: the scan's error
+    return SingularSystemError(f"{what} (cond={np.linalg.cond(M):.3e})")
 
 
 def _solve_dual(X, w, omega, B):
@@ -225,14 +243,14 @@ def _solve_dual(X, w, omega, B):
     K.flat[:: len(K) + 1] += sign
     factor, solve = (lu_factor, lu_solve) if indefinite else (cho_factor, cho_solve)
     try:
-        fK = factor(K)
+        fK = factor(K, check_finite=False)
         if indefinite and not fK[0].diagonal().all():  # an exactly singular LU
             raise np.linalg.LinAlgError
     except (np.linalg.LinAlgError, LinAlgWarning):  # the LU's warning, if made an error
-        raise SingularSystemError(f"dual kernel singular (cond={np.linalg.cond(K):.3e})")
+        raise _singular("dual kernel singular", K)
 
     def solve_pen(Zp):  # M_PP^{-1} Omega_P^{1/2} Zp, in place
-        Zp -= S.T @ solve(fK, S @ Zp)
+        Zp -= S.T @ solve(fK, S @ Zp, check_finite=False)
         Zp /= sq
         return Zp
 
@@ -247,18 +265,16 @@ def _solve_dual(X, w, omega, B):
         schur = (Xu.T * w) @ Xu
         schur -= M_pu.T @ Minv_pu
         try:
-            cS = cho_factor(schur)
+            cS = cho_factor(schur, check_finite=False)
         except np.linalg.LinAlgError:
-            raise SingularSystemError(
-                f"unpenalised block not identifiable (cond={np.linalg.cond(schur):.3e})"
-            )
+            raise _singular("unpenalised block not identifiable", schur)
     else:
         Zp = solve_pen(B / sq)
 
     def finish(Minv_bp, Bu):  # M^{-1} B from M_PP^{-1} B_P
         if not u:
             return Minv_bp
-        Zu = cho_solve(cS, Bu - M_pu.T @ Minv_bp)
+        Zu = cho_solve(cS, Bu - M_pu.T @ Minv_bp, check_finite=False)
         Minv_bp -= Minv_pu @ Zu
         Z = np.empty_like(B)
         Z[pen], Z[unp] = Minv_bp, Zu

@@ -7,6 +7,13 @@ uninformative groups, or a latent-overlapping-group lasso that respects a
 group hierarchy (a node may be selected only if all its ancestors are).
 The strength of this extra penalty is tuned by random in/out splits of the
 groups, scoring each candidate on the held-out half of the system.
+
+Both sparse kinds share one null threshold, :func:`lasso_null_threshold`:
+the smallest strength at which every penalised latent is zero.  At or
+above it the KKT conditions give the solution in closed form (the
+unpenalised latents' least-squares fit, zero elsewhere), so the solvers
+return it without running coordinate descent or FISTA.  A screened answer
+is the exact optimum, not an iterate stopped near it.
 """
 
 from __future__ import annotations
@@ -70,11 +77,18 @@ class GroupWeights:
 
 @dataclass(frozen=True)
 class HyperLambda:
-    """A tuned hyperpenalty strength and how the grid search ended."""
+    """A tuned hyperpenalty strength and how the grid search ended.
+
+    ``grid`` holds the scored candidates in ascending order and
+    ``mean_rss`` their mean out-half residual sums of squares (``inf`` for
+    a candidate whose solver did not converge).
+    """
 
     lam: float
     on_grid_boundary: bool = False
     n_grid_extensions: int = 0
+    grid: tuple[float, ...] = ()
+    mean_rss: tuple[float, ...] = ()
 
 
 def group_size_scaling(grouping: Grouping) -> np.ndarray:
@@ -123,13 +137,18 @@ def solve_lasso_hyper(
 
     The L1 problem is solved on the size-scaled system; groups with zero
     scaled weight are deselected, and the surviving groups are refit with
-    the ridge shrinkage at the same strength.
+    the ridge shrinkage at the same strength.  At or above the null
+    threshold nothing is selected, without a coordinate-descent run: its
+    first violator test is the same comparison.
     """
     if lam == 0:
         return solve_ridge_hyper(system, 0.0, W_gamma)
     A = np.asarray(system.A, dtype=float)
     b = np.asarray(system.b, dtype=float)
     W = np.asarray(W_gamma, dtype=float)
+    if lam >= lasso_null_threshold(system, W):
+        G = A.shape[1]
+        return GroupWeights(np.zeros(G), np.zeros(G, dtype=bool), float(lam))
     As = A / np.sqrt(W)[None, :]
     # ||As g - b||^2 + lam ||g||_1, halved
     g_scaled = elastic_net_cd(As, 1.0, b, lam / 2.0)
@@ -151,10 +170,40 @@ def _ridge_refit(system: MomentSystem, selected, lam: float, W) -> np.ndarray:
     return gamma
 
 
-def lasso_null_threshold(system: MomentSystem, W_gamma: np.ndarray) -> float:
-    """Smallest L1 strength at which every group is dropped."""
+def lasso_null_threshold(
+    system: MomentSystem, W_gamma: np.ndarray, tree: HierTree | None = None
+) -> float:
+    """Smallest strength at which every penalised latent is zero.
+
+    Without a tree this is the lasso's threshold, ``max |2 As' b|`` on the
+    size-scaled system ``As``, the same comparison as the first violator
+    test of :func:`elastic_net_cd`; with one, the hierarchical lasso's
+    threshold of :func:`_null_fits`.
+    """
     As = np.asarray(system.A, dtype=float) / np.sqrt(np.asarray(W_gamma, dtype=float))[None, :]
-    return float(np.abs(2.0 * As.T @ np.asarray(system.b, dtype=float)).max())
+    b = np.asarray(system.b, dtype=float)
+    if tree is None:
+        return float(np.abs(2.0 * As.T @ b).max())
+    flat, sizes, penalised = _latent_layout(tree, As.shape[1])
+    return float(_null_fits(As[None][:, :, flat], b[None], sizes, penalised)[0][0])
+
+
+def _null_fits(B, b, sizes, penalised):
+    """Null thresholds of a stack of latent problems, and residuals at and above them.
+
+    Problem ``s`` is ``||B[s] u - b[s]||^2 + lam * sum_pen ||u_m||`` as in
+    :func:`_fista_latents`.  Fits its unpenalised latents by least squares
+    and returns the largest ``||2 B_m' r0||`` over the penalised latents
+    ``m``, with the residual ``r0`` of that fit.  At any strength at or
+    above the threshold the KKT conditions hold with every penalised
+    latent at zero, so that fit is the exact optimum, with objective
+    ``||r0||^2``.
+    """
+    free = B[:, :, np.repeat(~penalised, sizes)]
+    r0 = b - (free @ (np.linalg.pinv(free) @ b[:, :, None]))[:, :, 0]
+    grad = 2.0 * (r0[:, None, :] @ B)[:, 0, :]
+    norms = np.sqrt(np.add.reduceat(grad * grad, np.cumsum(sizes) - sizes, axis=1))
+    return norms[:, penalised].max(axis=1, initial=0.0), r0
 
 
 def _latent_layout(tree: HierTree, n_groups: int):
@@ -232,7 +281,9 @@ def _hierarchical_lasso_batch(
 
     The systems must have the same groups.  Their scaled latent designs are
     stacked; a system with fewer equations is padded with zero rows, which
-    change neither its objective nor its gradient.
+    change neither its objective nor its gradient.  A system at or above
+    its null threshold gets the closed-form solution of :func:`_null_fits`;
+    FISTA solves the others.
     """
     A = [np.asarray(s.A, dtype=float) for s in systems]
     b = [np.asarray(s.b, dtype=float) for s in systems]
@@ -257,9 +308,16 @@ def _hierarchical_lasso_batch(
     for s, (a, rhs, w) in enumerate(zip(A, b, W)):
         B[s, : len(rhs)] = (a / np.sqrt(w)[None, :])[:, flat]
         b_pad[s, : len(rhs)] = rhs
-    u, objective = _fista_latents(B, b_pad, sizes, penalised, lam, max_iter, tol)
+    threshold, r0 = _null_fits(B, b_pad, sizes, penalised)
+    objective = (r0 * r0).sum(axis=1)
+    latent_norms = np.zeros((len(A), len(sizes)))  # zero penalised latents if screened
+    fista = lam < threshold
+    if fista.any():
+        u, objective[fista] = _fista_latents(
+            B[fista], b_pad[fista], sizes, penalised, lam, max_iter, tol
+        )
+        latent_norms[fista] = np.sqrt(np.add.reduceat(u * u, np.cumsum(sizes) - sizes, axis=1))
 
-    latent_norms = np.sqrt(np.add.reduceat(u * u, np.cumsum(sizes) - sizes, axis=1))
     out = []
     for s, norms in enumerate(latent_norms):
         latent_norm_tol = 1e-8 * (1.0 + np.abs(b[s]).max())
@@ -289,8 +347,10 @@ def solve_hierarchical_lasso(
     covariates with a missing annotation, gets its own unpenalised latent.
     Any union of root-to-node paths is closed under taking ancestors, so the
     selected node set always is too.  Selected groups are then refit with
-    ridge shrinkage at the same strength.  The problem is solved by FISTA
-    (Beck & Teboulle, 2009) on the stacked latents.
+    ridge shrinkage at the same strength.  Below the null threshold of
+    :func:`lasso_null_threshold` the problem is solved by FISTA (Beck &
+    Teboulle, 2009) on the stacked latents; at or above it the solution is
+    exact and closed-form.
     """
     return _hierarchical_lasso_batch([system], tree, lam, [W_gamma], max_iter, tol)[0]
 
@@ -345,7 +405,8 @@ def estimate_hyperlambda(
     extends the grid a decade in that direction, scoring only the new
     candidates.  If the winner is still on the boundary after three
     extensions, the search stops with a warning and returns the value at the
-    winner's index in the grid extended once more.  The in-half systems of
+    winner's index in the grid extended once more.  The result also carries
+    every scored candidate and its mean score.  The in-half systems of
     one candidate are solved in one :func:`solve_hyper` call.  ``Z`` is the
     grouping's co-data matrix; passing the caller's own lets the core reuse
     what it keeps for that matrix.
@@ -383,6 +444,16 @@ def estimate_hyperlambda(
 
     grid = np.sort(grid)
     scores: dict[float, float] = {}
+
+    def choice(lam, **how):
+        scored = sorted(scores)
+        return HyperLambda(
+            float(lam),
+            grid=tuple(map(float, scored)),
+            mean_rss=tuple(scores[x] for x in scored),
+            **how,
+        )
+
     for n_ext in range(3):
         for lam in grid:
             if lam not in scores:
@@ -392,15 +463,15 @@ def estimate_hyperlambda(
             raise ConvergenceError("no hyperpenalty candidate produced a finite score")
         best = int(np.nanargmin(np.where(np.isfinite(rss), rss, np.nan)))
         if len(grid) == 1:
-            return HyperLambda(float(grid[0]))
+            return choice(grid[0])
         step = grid[1] / grid[0]
         if best == 0:
             grid = np.sort(np.concatenate([grid[:1] / step ** np.arange(1, 4), grid]))
         elif best == len(grid) - 1:
             grid = np.sort(np.concatenate([grid, grid[-1:] * step ** np.arange(1, 4)]))
         else:
-            return HyperLambda(float(grid[best]), n_grid_extensions=n_ext)
+            return choice(grid[best], n_grid_extensions=n_ext)
     warnings.warn(
         "hyperpenalty optimum on the grid boundary after 3 extensions", stacklevel=2
     )
-    return HyperLambda(float(grid[best]), on_grid_boundary=True, n_grid_extensions=3)
+    return choice(grid[best], on_grid_boundary=True, n_grid_extensions=3)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ecpc import Grouping, ResponseFamily, model_from_json, predict
+from ecpc import Grouping, ResponseFamily, model_from_json, model_to_json, predict
 from ecpc.cli import (
     auc_mann_whitney,
     concordance_index,
@@ -153,6 +153,10 @@ class TestFitCommand:
         assert f"moments grouping={name} route=direct rank={X.shape[0]}\n" in log
         assert doc["feature_names"] == names
         assert len(doc["beta"]) == X.shape[1]
+        (tuning,) = diag["hyperlambda"]
+        assert len(tuning["grid"]) == len(tuning["mean_rss"]) >= 1
+        back = json.loads(model_to_json(model_from_json((out / "model.json").read_text())))
+        assert back["diagnostics"] == diag
 
     def test_cox_fit_logs_cv_newton_steps(self, tmp_path):
         xp, yp, cp, *_ = make_dataset(tmp_path, seed=4, family="cox")

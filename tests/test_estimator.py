@@ -13,7 +13,7 @@ from ecpc import (
     predict,
     solve_grouping_weights,
 )
-from ecpc import glm
+from ecpc import ConvergenceError, glm, hypershrinkage
 from ecpc.codata import build_codata_matrix, build_hierarchy_from_continuous
 from ecpc.glm import PenaltyState, estimate_global_variance, fit_weighted_ridge
 from ecpc.hypershrinkage import solve_hierarchical_lasso
@@ -425,14 +425,50 @@ class TestSerialization:
             model = fit_ecpc(
                 X, resp, [g, g], hyper=["ridge", "none"], hyperlambda_grid=[1e-9, 1e-8]
             )
-        assert model.diagnostics["hyperlambda"] == [
-            {"lambda": model.hyperlambdas[0], "on_grid_boundary": True, "n_grid_extensions": 3},
-            {"lambda": 0.0, "on_grid_boundary": False, "n_grid_extensions": 0},
-        ]
+        ridge, untuned = model.diagnostics["hyperlambda"]
+        # two points and two scored extensions; the third is not scored
+        scored = [1e-9, 1e-8] + [1e-8 * 10.0**k for k in range(1, 7)]
+        assert np.allclose(ridge["grid"], scored, rtol=1e-12, atol=0.0)
+        assert len(ridge["mean_rss"]) == 8
+        assert {k: ridge[k] for k in ("lambda", "on_grid_boundary", "n_grid_extensions")} == {
+            "lambda": model.hyperlambdas[0], "on_grid_boundary": True, "n_grid_extensions": 3
+        }
+        assert untuned == {
+            "lambda": 0.0,
+            "on_grid_boundary": False,
+            "n_grid_extensions": 0,
+            "grid": [],
+            "mean_rss": [],
+        }
         back = model_from_json(model_to_json(model))
         assert back.diagnostics == model.diagnostics
         tuned = fit_ecpc(X, resp, [g]).diagnostics["hyperlambda"]
         assert not tuned[0]["on_grid_boundary"] and tuned[0]["n_grid_extensions"] == 0
+
+    def test_round_trip_split_rss_curve(self, monkeypatch):
+        # the scored candidates and their mean out-half RSS, an unconverged
+        # candidate's inf included; forced and untuned sources record none
+        X, resp, g = gaussian_data(37)
+        top = hypershrinkage.default_lambda_grid()[-1]
+        solve = hypershrinkage.solve_hyper
+
+        def failing_at_top(systems, penalty, *args, **kwargs):
+            if penalty.lam == top:
+                raise ConvergenceError("no convergence")
+            return solve(systems, penalty, *args, **kwargs)
+
+        monkeypatch.setattr(hypershrinkage, "solve_hyper", failing_at_top)
+        model = fit_ecpc(X, resp, [g, g], hyper=["ridge", "none"])
+        tuned, untuned = model.diagnostics["hyperlambda"]
+        assert tuned["grid"] == sorted(tuned["grid"]) and top in tuned["grid"]
+        assert tuned["lambda"] in tuned["grid"]
+        rss = dict(zip(tuned["grid"], tuned["mean_rss"]))
+        assert rss.pop(top) == np.inf and np.isfinite(list(rss.values())).all()
+        assert untuned["grid"] == untuned["mean_rss"] == []
+        back = model_from_json(model_to_json(model))
+        assert back.diagnostics == model.diagnostics
+        forced = fit_ecpc(X, resp, [g], forced_hyperlambda=2.0).diagnostics["hyperlambda"]
+        assert forced[0]["grid"] == forced[0]["mean_rss"] == []
 
     def test_rejects_other_documents(self):
         with pytest.raises(DataError):

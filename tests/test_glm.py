@@ -43,7 +43,9 @@ def counted_factorisations():
     with pytest.MonkeyPatch.context() as mp:
         for name in ("cho_factor", "lu_factor"):
             factor = getattr(glm, name)
-            mp.setattr(glm, name, lambda M, f=factor: factored.append(len(M)) or f(M))
+            mp.setattr(
+                glm, name, lambda M, f=factor, **kw: factored.append(len(M)) or f(M, **kw)
+            )
         yield factored
 
 
@@ -100,6 +102,22 @@ class TestGaussianRidge:
         ref = np.linalg.solve((X.T * w) @ X + np.diag(omega), rhs)
         assert Z.shape == ref.shape
         assert np.abs(Z - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("p,n_unpen", [(4, 0), (20, 0), (20, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_raises(self, p, n_unpen, bad):
+        # the factorisations skip scipy's finiteness scan, so the solve itself
+        # must still reject a NaN or infinite weight, on the primal (p <= n)
+        # and the dual path, with and without a Schur complement
+        rng = np.random.default_rng(3)
+        n = 8
+        X = rng.standard_normal((n, p))
+        w = rng.uniform(0.5, 2.0, n)
+        w[2] = bad
+        omega = rng.uniform(0.3, 3.0, p)
+        omega[:n_unpen] = 0.0
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            glm.solve_penalized_system(X, w, omega, rng.standard_normal(p))
 
     def test_column_rescaling_equivariance(self):
         X, y = rand_problem(4, 15, 6)

@@ -14,6 +14,9 @@ from ecpc import (
     solve_lasso_hyper,
     solve_ridge_hyper,
 )
+from ecpc import hypershrinkage
+from ecpc.codata import build_hierarchy_from_continuous
+from ecpc.glm import elastic_net_cd
 from ecpc.hypershrinkage import (
     HyperPenalty,
     _fista_latents,
@@ -97,6 +100,23 @@ def loop_reference(sys, W, lam):
     gamma = np.zeros(G)
     gamma[selected] = solve_ridge_hyper(sub, lam, W[selected]).gamma
     return selected, gamma, objective(u)
+
+
+def null_fit(sys, W):
+    """The BALANCED_TREE optimum at or above the null threshold, solved directly.
+
+    Every penalised latent is zero; the root's (group 0) and those of the
+    groups outside the tree are the least-squares fit.  Returns the stacked
+    latents, the latent design B and the objective ``||B u - b||^2``.
+    """
+    G = len(W)
+    flat, sizes, penalised = _latent_layout(BALANCED_TREE, G)
+    B = (sys.A / np.sqrt(W))[:, flat]
+    free = np.repeat(~penalised, sizes)
+    u = np.zeros(len(flat))
+    u[free] = np.linalg.lstsq(B[:, free], sys.b, rcond=None)[0]
+    r = B @ u - sys.b
+    return u, B, float(r @ r)
 
 
 def solve_capped(systems, Ws, lam, max_iter):
@@ -335,7 +355,12 @@ class TestHierarchicalLasso:
             obj[0], ((B @ u - sys.b) ** 2).sum() + lam * norms[penalised].sum(), rtol=1e-12
         )
         out = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
-        assert abs(out.objective - obj[0]) <= 1e-12 * obj[0]
+        # at or above the null threshold the solver reports the exact optimum,
+        # below it the FISTA objective
+        if lam >= lasso_null_threshold(sys, W, BALANCED_TREE):
+            assert abs(out.objective - null_fit(sys, W)[2]) <= 1e-12 * obj[0]
+        else:
+            assert abs(out.objective - obj[0]) <= 1e-12 * obj[0]
         kept = ~penalised | (norms > 1e-8 * (1.0 + np.abs(sys.b).max()))
         in_kept = np.isin(np.arange(G), flat[np.repeat(kept, sizes)])
         assert np.array_equal(out.selected, in_kept)
@@ -349,6 +374,8 @@ class TestHierarchicalLasso:
         out = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
         assert np.array_equal(out.selected, selected)
         assert np.abs(out.gamma - gamma).max() <= 1e-12
+        if lam >= lasso_null_threshold(sys, W, BALANCED_TREE):
+            objective = null_fit(sys, W)[2]  # exact, where FISTA stops near it
         assert abs(out.objective - objective) <= 1e-12
 
     @given(
@@ -362,12 +389,14 @@ class TestHierarchicalLasso:
         systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
         penalty = HyperPenalty(kind="hierarchical_lasso", lam=lam)
         fits = solve_hyper(systems, penalty, Ws, tree=BALANCED_TREE)
+        # the reference is FISTA itself on every system, screened ones included
+        flat, sizes, penalised = _latent_layout(BALANCED_TREE, G)
+        B = np.stack([(s.A / np.sqrt(W))[:, flat] for s, W in zip(systems, Ws)])
+        b = np.stack([s.b for s in systems])
         with pytest.warns(UserWarning, match="iteration cap"):
-            long = _hierarchical_lasso_batch(
-                systems, BALANCED_TREE, lam, Ws, max_iter=10_000, tol=0.0
-            )
+            _, long = _fista_latents(B, b, sizes, penalised, lam, 10_000, 0.0)
         for fit, ref in zip(fits, long):
-            assert abs(fit.objective - ref.objective) <= 1e-5 * (1.0 + abs(ref.objective))
+            assert abs(fit.objective - ref) <= 1e-5 * (1.0 + abs(ref))
 
     @pytest.mark.parametrize("G", [7, 8])
     def test_batch_equals_alone(self, G):
@@ -402,6 +431,119 @@ class TestHierarchicalLasso:
         sys, W = hier_case(0, 7)
         with pytest.warns(UserWarning, match="iteration cap"):
             solve_hierarchical_lasso(sys, BALANCED_TREE, 0.5, W, max_iter=5)
+
+
+def ridge_weights(sys, selected, lam, W):
+    """The ridge refit of the selected groups at ``lam``, zero elsewhere."""
+    gamma = np.zeros(len(W))
+    if selected.any():
+        sub = MomentSystem(A=sys.A[:, selected], b=sys.b, group_labels=("",) * selected.sum())
+        gamma[selected] = solve_ridge_hyper(sub, lam, W[selected]).gamma
+    return gamma
+
+
+def without_last_equation(sys):
+    return MomentSystem(A=sys.A[:-1], b=sys.b[:-1], group_labels=sys.group_labels)
+
+
+class TestNullScreening:
+    """At and above the null threshold the sparse kinds answer in closed form."""
+
+    FACTORS = (0.999, 1.0, 1.001, 10.0)
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("G,drop", [(7, 0), (8, 0), (8, 1)])
+    def test_lasso_matches_coordinate_descent(self, factor, G, drop):
+        for seed in range(4):
+            sys, W = hier_case(100 + seed, G)
+            if drop:
+                sys = without_last_equation(sys)
+            As = sys.A / np.sqrt(W)
+            lam = factor * lasso_null_threshold(sys, W)
+            out = solve_lasso_hyper(sys, lam, W)
+            selected = elastic_net_cd(As, 1.0, sys.b, lam / 2) != 0
+            assert np.array_equal(out.selected, selected)
+            assert np.abs(out.gamma - ridge_weights(sys, selected, lam, W)).max() <= 1e-12
+            # KKT of the empty selection: |2 As' b| <= lam on every group,
+            # exactly from the threshold up
+            assert (np.abs(2.0 * As.T @ sys.b).max() <= lam) == (factor >= 1.0)
+            assert selected.any() == (factor < 1.0)
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("G,drop", [(7, 0), (8, 0), (8, 1)])
+    def test_hierarchical_matches_long_fista(self, factor, G, drop):
+        flat, sizes, penalised = _latent_layout(BALANCED_TREE, G)
+        bounds = np.cumsum(sizes)[:-1]
+        sys, W = hier_case(200, G)
+        if drop:  # padded with a zero row in the stack below
+            sys = without_last_equation(sys)
+        lam = factor * lasso_null_threshold(sys, W, BALANCED_TREE)
+        partner = hier_case(300, G)
+        out = _hierarchical_lasso_batch([sys, partner[0]], BALANCED_TREE, lam, [W, partner[1]])[0]
+
+        B = (sys.A / np.sqrt(W))[:, flat]
+        with pytest.warns(UserWarning, match="iteration cap"):
+            u, _ = _fista_latents(B[None], sys.b[None], sizes, penalised, lam, 20_000, 0.0)
+        norms = np.array([np.linalg.norm(u_m) for u_m in np.split(u[0], bounds)])
+        kept = ~penalised | (norms > 1e-8 * (1.0 + np.abs(sys.b).max()))
+        selected = np.isin(np.arange(G), flat[np.repeat(kept, sizes)])
+        assert np.array_equal(out.selected, selected)
+        assert np.abs(out.gamma - ridge_weights(sys, selected, lam, W)).max() <= 1e-12
+
+        # block KKT of the null solution: zero gradient on the unpenalised
+        # latents, ||g_m|| <= lam on the penalised ones from the threshold up
+        u0, B, objective = null_fit(sys, W)
+        grad = np.split(2.0 * B.T @ (B @ u0 - sys.b), bounds)
+        scale = np.abs(2.0 * B.T @ sys.b).max()
+        free = [np.linalg.norm(g) for g, pen in zip(grad, penalised) if not pen]
+        worst = max(np.linalg.norm(g) for g, pen in zip(grad, penalised) if pen)
+        assert max(free) <= 1e-12 * scale
+        if factor >= 1.0:
+            assert worst <= lam + 1e-12 * scale
+            assert abs(out.objective - objective) <= 1e-12 * objective
+        else:
+            assert worst > lam
+
+    def test_no_iterative_solver_above_threshold(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("iterative solver run above the null threshold")
+
+        monkeypatch.setattr(hypershrinkage, "_fista_latents", fail)
+        monkeypatch.setattr(hypershrinkage, "elastic_net_cd", fail)
+        cases = [hier_case(seed, 8) for seed in range(5)]
+        systems = [without_last_equation(cases[0][0])] + [c[0] for c in cases[1:]]
+        Ws = [c[1] for c in cases]
+        null_selection = np.isin(np.arange(8), [BALANCED_TREE.node_group[0], 7])
+        for kind, tree, expected in [
+            ("lasso", None, np.zeros(8, dtype=bool)),
+            ("hierarchical_lasso", BALANCED_TREE, null_selection),
+        ]:
+            top = max(lasso_null_threshold(s, W, tree) for s, W in zip(systems, Ws))
+            for lam in (top, 10.0 * top):
+                fits = solve_hyper(systems, HyperPenalty(kind=kind, lam=lam), Ws, tree=tree)
+                for fit in fits:
+                    assert np.array_equal(fit.selected, expected)
+
+    @pytest.mark.parametrize("G", [7, 8])
+    def test_batch_equals_alone_mixed(self, G):
+        # some systems are screened, the rest share one FISTA stack
+        cases = [hier_case(seed, G) for seed in range(8)]
+        cases[0] = (without_last_equation(cases[0][0]), cases[0][1])
+        systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
+        thresholds = [lasso_null_threshold(s, W, BALANCED_TREE) for s, W in zip(systems, Ws)]
+        lam = float(np.median(thresholds))
+        screened = [lam >= t for t in thresholds]
+        assert any(screened) and not all(screened)
+        batch = solve_hyper(
+            systems, HyperPenalty(kind="hierarchical_lasso", lam=lam), Ws, tree=BALANCED_TREE
+        )
+        for (sys, W), got, null in zip(cases, batch, screened):
+            alone = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
+            assert np.array_equal(got.selected, alone.selected)
+            assert np.abs(got.gamma - alone.gamma).max() <= 1e-12
+            assert abs(got.objective - alone.objective) <= 1e-12
+            if null:
+                assert abs(got.objective - null_fit(sys, W)[2]) <= 1e-12 * got.objective
 
 
 def _core_and_grouping(seed=21, n=20, p=12, G=4):
@@ -470,3 +612,58 @@ class TestEstimateHyperlambda:
     def test_none_kind_returns_zero(self):
         core, g = _core_and_grouping()
         assert estimate_hyperlambda(g, core, penalty_kind="none").lam == 0.0
+
+
+def _codata_hier_problem(seed=5, n=60, p=60):
+    """A small problem shaped like the codata-hier benchmark workload.
+
+    A hierarchy from a noisy annotation of |beta| (two covariates without
+    one, so one group lies outside the tree) and a random partition, on the
+    moment core of a ridge fit.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    beta = rng.standard_normal(p)
+    y = X @ beta + rng.standard_normal(n)
+    annotation = np.abs(beta) + rng.normal(0.0, 0.1, p)
+    annotation[:2] = np.nan
+    hier, tree = build_hierarchy_from_continuous(annotation, min_group_size=12)
+    part = Grouping(groups=tuple(map(tuple, np.array_split(rng.permutation(p), 6))), p=p)
+    omega = np.full(p, 1.0)
+    beta_hat = np.linalg.solve(X.T @ X + np.diag(omega), X.T @ y)
+    return compute_moment_core(X, np.ones(n), omega, beta_hat), hier, tree, part
+
+
+class TestSearchScreening:
+    def test_same_choice_without_screening(self, monkeypatch):
+        # screening may change how a candidate is solved, never its score
+        core, hier, tree, part = _codata_hier_problem()
+        fista_rows = []
+        fista = hypershrinkage._fista_latents
+
+        def counted(B, *args):
+            fista_rows.append(len(B))
+            return fista(B, *args)
+
+        def search():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a grid-boundary end
+                return [
+                    estimate_hyperlambda(hier, core, "hierarchical_lasso", 5, tree=tree),
+                    estimate_hyperlambda(part, core, "lasso", 5),
+                ]
+
+        monkeypatch.setattr(hypershrinkage, "_fista_latents", counted)
+        shipped = search()
+        screened_rows = sum(fista_rows)
+        monkeypatch.setattr(hypershrinkage, "lasso_null_threshold", lambda *args: np.inf)
+        monkeypatch.setattr(
+            hypershrinkage, "_null_fits", lambda B, b, *args: (np.full(len(B), np.inf), b)
+        )
+        unscreened = search()
+        assert shipped == unscreened
+        assert sum(fista_rows) - screened_rows > screened_rows  # most were screened
+        for choice in shipped:
+            assert len(choice.grid) == len(choice.mean_rss) > 1
+            assert list(choice.grid) == sorted(choice.grid)
+            assert choice.lam in choice.grid or choice.on_grid_boundary
