@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.special import expit
 
 from .codata import CoDataMatrix, Grouping, build_codata_matrix
@@ -106,19 +107,23 @@ def combine_local_variances(
 
 
 def solve_grouping_weights(system: MomentSystem) -> np.ndarray:
-    """Non-negative least-squares-then-truncate weights for the co-data sources."""
+    """Non-negative least-squares weights for the co-data sources.
+
+    Minimises ``||A w - b||`` over ``w >= 0`` (Lawson & Hanson's active-set
+    method).  A rank-deficient ``A`` (correlated co-data) warns: the
+    minimiser is then one of many.
+    """
     A = np.asarray(system.A, dtype=float)
     b = np.asarray(system.b, dtype=float)
     if A.shape[1] > A.shape[0]:
         raise DataError("more co-data sources than pooled group equations")
-    w, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < A.shape[1]:
+    if np.linalg.matrix_rank(A) < A.shape[1]:
         warnings.warn(
             "grouping-weight system is rank deficient (correlated co-data); "
-            "least-norm solution used",
+            "one of many non-negative least-squares solutions used",
             stacklevel=2,
         )
-    return np.maximum(w, 0.0)
+    return nnls(A, b)[0]
 
 
 def _coerce_penalties(codata_list, hyper) -> list[HyperPenalty]:
@@ -247,14 +252,19 @@ def fit_ecpc(
     # step 3: weight the co-data sources against each other
     if len(codata_list) == 1:
         w = np.ones(1)
+        source_weights = {"w": [1.0], "residual": None}
     else:
         w_system = build_grouping_weight_system(
             core, codata_matrices, codata_list, gammas, tau_global
         )
         w = solve_grouping_weights(w_system)
+        source_weights = {
+            "w": w.tolist(),
+            "residual": float(np.linalg.norm(w_system.A @ w - w_system.b)),
+        }
         if not w.any():
             warnings.warn(
-                "all grouping weights truncated to zero; falling back to equal weights",
+                "all grouping weights are zero; falling back to equal weights",
                 stacklevel=2,
             )
             w = np.full(len(codata_list), 1.0 / len(codata_list))
@@ -326,6 +336,7 @@ def fit_ecpc(
             },
             "hyperlambda": tuning,
             "moments": moments,
+            "source_weights": source_weights,
         },
     )
 

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -175,39 +176,51 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
 
     Weights may be negative, as for the rows of a subtracted low-rank term
     (the cox risk-set rows of :func:`information_factor`), as long as the
-    matrix stays positive definite.  Uses a dense p x p Cholesky when at
-    most as many columns are penalised as rows are passed, otherwise the
-    dual form of :func:`_solve_dual` (with a Schur complement for
-    unpenalised coordinates, whose omega is 0).  The factorisations skip
-    scipy's finiteness scan of each operand; a test of the weights, the
-    penalties and the solution (and of a matrix that fails to factor)
-    raises its ``ValueError`` instead.
+    matrix stays positive definite.  Uses a dense p x p Cholesky, one LAPACK
+    ``dpotrf`` and one ``dpotrs`` call, when at most as many columns are
+    penalised as rows are passed, otherwise the dual form of
+    :func:`_solve_dual` (with a Schur complement for unpenalised
+    coordinates, whose omega is 0).  The factorisations skip scipy's
+    finiteness scan of each operand; a test of the weights, the penalties
+    and the solution (and of a matrix that fails to factor) raises its
+    ``ValueError`` instead.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
-    w = np.broadcast_to(np.asarray(weights, dtype=float), (n,))
+    w = np.asarray(weights, dtype=float)
+    if w.ndim == 0:
+        w = np.full(n, w)
     omega = np.asarray(omega_diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     single = rhs.ndim == 1
     B = rhs[:, None] if single else rhs
-    _check_finite(w, omega)  # an infinite weight can give a finite solution
+    _check_finite(w)  # an infinite weight can give a finite solution
+    _check_finite(omega)
 
     if np.count_nonzero(omega > 0) <= n:
-        M = (X.T * w) @ X
-        M.flat[:: len(M) + 1] += omega
-        try:
-            Z = cho_solve(cho_factor(M, check_finite=False), B, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise _singular("penalised system singular", M)
+        # M is symmetric up to rounding; its transpose is a Fortran view whose
+        # lower triangle is M's upper one, the triangle cho_factor(M) reads
+        M = _primal_matrix(X, w, omega)
+        c, info = dpotrf(M.T, lower=True, clean=False, overwrite_a=True)
+        if info > 0:  # M was overwritten: rebuild it for the error
+            raise _singular("penalised system singular", _primal_matrix(X, w, omega))
+        Z, _ = dpotrs(c, B, lower=True)
     else:
         Z = _solve_dual(X, w, omega, B)
     _check_finite(Z)
     return Z[:, 0] if single else Z
 
 
-def _check_finite(*arrays):
-    """Raise the ``ValueError`` of scipy's finiteness scan unless all are finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
+def _primal_matrix(X, w, omega):
+    """``X' diag(w) X + diag(omega)``, p x p."""
+    M = (X.T * w) @ X
+    M.flat[:: len(M) + 1] += omega
+    return M
+
+
+def _check_finite(a):
+    """Raise the ``ValueError`` of scipy's finiteness scan unless ``a`` is finite."""
+    if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -337,12 +350,22 @@ def information_factor(resp: ResponseFamily, lp, X):
     order, ends, _, events = resp._risk_sets
     elp = np.exp(np.asarray(lp, dtype=float))[order]
     ev = events > 0
-    risk = np.cumsum(elp)[ends[ev]]
     Xs = np.asarray(X, dtype=float)[order]
     Xs *= elp[:, None]
-    G = np.cumsum(Xs, axis=0, out=Xs)[ends[ev]]
-    G *= (np.sqrt(events[ev]) / risk)[:, None]
-    return G
+    return _risk_set_rows(elp, ends[ev], events[ev], Xs, np.empty((ev.sum(), Xs.shape[1])))
+
+
+def _risk_set_rows(elp, ends, events, T, out):
+    """Write ``G`` of :func:`information_factor` into ``out`` and return it.
+
+    ``T`` is ``exp(lp) X`` with its rows in risk order and is overwritten by
+    its cumulative sum; ``elp`` is ``exp(lp)`` in that order, ``ends`` and
+    ``events`` the last positions and event counts of the blocks with events.
+    """
+    np.cumsum(T, axis=0, out=T)
+    np.take(T, ends, axis=0, out=out)
+    out *= (np.sqrt(events) / np.cumsum(elp)[ends])[:, None]
+    return out
 
 
 def family_loglik(resp: ResponseFamily, lp: np.ndarray) -> float:
@@ -417,11 +440,25 @@ def fit_weighted_ridge(
         raise DataError("gaussian fit requires sigma2 (estimate it first)")
     omega = pen.precision_diag
     l1 = np.where(unpen, 0.0, lam1)
+    # the quadratic model's rows: X, and for cox below it the rows of G, which
+    # each step writes in place; cox works on the samples in risk order
+    Xq, wq = X, None
+    cox = resp.family == "cox"
+    if cox:
+        order, ends, _, events = resp._risk_sets
+        ev = events > 0
+        ends, events = ends[ev], events[ev]
+        Xq = np.empty((n + len(ends), p))
+        X = np.take(X, order, axis=0, out=Xq[:n])
+        resp = resp.subset(order)
+        wq = np.full(len(Xq), -1.0)
 
     def terms_at(b):
         lp = X @ b
         ll, resid, w = family_terms(resp, lp)
-        obj = ll - 0.5 * float(b @ (omega * b)) - float(l1 @ np.abs(b))
+        obj = ll - 0.5 * float(b @ (omega * b))
+        if lam1:
+            obj -= float(l1 @ np.abs(b))
         return lp, resid, w, obj
 
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
@@ -432,10 +469,12 @@ def fit_weighted_ridge(
     it = 0
     for it in range(1, max_iter + 1):
         w = np.maximum(w, 1e-12)
-        Xq, wq = X, w
-        G = information_factor(resp, lp, X)
-        if G is not None:  # the model less 0.5 |G (b - beta)|^2: G's rows at weight -1
-            Xq, wq = np.vstack([X, G]), np.concatenate([w, np.full(len(G), -1.0)])
+        if cox:  # the model less 0.5 |G (b - beta)|^2: G's rows at weight -1
+            wq[:n] = w
+            elp = np.exp(lp)
+            _risk_set_rows(elp, ends, events, X * elp[:, None], Xq[n:])
+        else:
+            wq = w
         if lam1 == 0:
             step = solve_penalized_system(Xq, wq, omega, grad)
         else:
@@ -452,12 +491,14 @@ def fit_weighted_ridge(
         beta = trial
         lp, resid, w, obj = terms
         grad = X.T @ resid - omega * beta
-        sub = np.where(
-            beta != 0,
-            grad - l1 * np.sign(beta),
-            np.sign(grad) * np.maximum(np.abs(grad) - l1, 0.0),
-        )
-        sub_norm = np.max(np.abs(sub))
+        sub = grad
+        if lam1:
+            sub = np.where(
+                beta != 0,
+                grad - l1 * np.sign(beta),
+                np.sign(grad) * np.maximum(np.abs(grad) - l1, 0.0),
+            )
+        sub_norm = np.abs(sub).max()
         if sub_norm < 1e-8 * (1.0 + abs(obj)):
             converged = True
             break
@@ -468,6 +509,9 @@ def fit_weighted_ridge(
                 break
         else:
             stalled = 0
+    if cox:  # back to the caller's sample order
+        lp_sorted, lp = lp, np.empty(n)
+        lp[order] = lp_sorted
     separation = resp.family == "binomial" and bool(np.max(np.abs(lp)) > 20.0)
     fit = RidgeFit(
         beta=beta,
@@ -713,6 +757,9 @@ def estimate_global_variance(
         raise DataError("cross-validation needs at least 2 folds")
     scores = np.zeros((len(grid), len(fold_ids)))
     steps = 0
+    Xp = X[:, ~mask]
+    K = Xp @ Xp.T  # the Gram of the penalised columns, shared by every fold
+    X_unpen = X[:, mask]
     for fi, f in enumerate(fold_ids):
         test = folds == f
         train = ~test
@@ -721,11 +768,11 @@ def estimate_global_variance(
         # scale the total penalty by the fold's sample fraction so the
         # per-observation regularisation matches the full-data level
         scores[:, fi], fold_steps = _fold_path_scores(
-            X[train],
+            K,
+            X_unpen,
+            train,
             resp.subset(train),
-            X[test],
             resp.subset(test),
-            mask,
             grid * train.sum() / n,
         )
         steps += fold_steps
@@ -744,32 +791,47 @@ def estimate_global_variance(
     return gv
 
 
-def _fold_path_scores(X_tr, resp_tr, X_te, resp_te, mask, penalties):
+def _fold_path_scores(K, X_unpen, train, resp_tr, resp_te, penalties):
     """Held-out log-likelihood of uniform-penalty ridge fits on one fold.
 
-    With one penalty on every penalised column the fit lies in the row space
-    of the penalised training block, so after one thin SVD
-    ``X_tr[:, pen] = U D V'`` the fits run on the ``m x (rank + #unpenalised)``
-    design ``[U D | X_tr[:, unpen]]`` and are scored on the held-out rows
-    ``[X_te[:, pen] V | X_te[:, unpen]]``.  This is an orthogonal change of
-    coordinates: the Newton iterates equal those on the full design up to
-    rounding.  (The stopping test reads ``max|score|``, which the rotation
-    changes, so a slowly converging fit may stop a step apart.)  The
-    penalties are fitted from the largest down, each warm-started from the
-    one before; the first failure scores -inf, and so do all smaller
-    penalties, which are not fitted.  Returns the scores and the Newton
-    steps of all fits; a fit stopped by the iteration cap counts its steps,
-    one stopped by a singular system none.
+    ``K = X_P X_P'`` is the Gram of the penalised columns of all n samples,
+    ``X_unpen`` the unpenalised columns and ``train`` the fold's training
+    rows.  With one penalty on every penalised column the fit lies in the
+    row space of the penalised training block, so one eigendecomposition
+    ``K[tr, tr] = U D^2 U'`` gives coordinates of that space (Hastie &
+    Tibshirani, Biostatistics 2004): the fits run on the
+    ``m x (rank + #unpenalised)`` design ``[U D | X_unpen[tr]]`` and are
+    scored on the held-out rows ``[K[te, tr] U D^{-1} | X_unpen[te]]``.
+    With the thin SVD ``X_P[tr] = U D V'`` these are ``X_P[tr] V`` and
+    ``X_P[te] V``: an orthogonal change of coordinates, so the Newton
+    iterates equal those on the full design up to rounding.  (The stopping
+    test reads ``max|score|``, which the rotation changes, so a slowly
+    converging fit may stop a step apart.)  Eigenvalues at or below
+    ``m eps d_max`` are dropped: the Gram's rounding error is about
+    ``eps d_max``, with ``d_max`` the largest eigenvalue, so below that an
+    eigenvalue is rounding rather than a direction of ``X_P[tr]`` (the zero
+    eigenvalues of rank-deficient blocks come out below ``4 eps d_max``),
+    and a direction that small moves the fitted predictor by about
+    ``m eps d_max`` over the penalty.  The penalties are fitted from the
+    largest down, each warm-started from the one before; the first failure
+    scores -inf, and so do all smaller penalties, which are not fitted.
+    Returns the scores and the Newton steps of all fits; a fit stopped by
+    the iteration cap counts its steps, one stopped by a singular system
+    none.
     """
-    U, d, Vt = np.linalg.svd(X_tr[:, ~mask], full_matrices=False)
-    Z_tr = np.hstack([U * d, X_tr[:, mask]])
-    Z_te = np.hstack([X_te[:, ~mask] @ Vt.T, X_te[:, mask]])
-    mask_rot = np.arange(Z_tr.shape[1]) >= len(d)
+    test = ~train
+    d2, U = np.linalg.eigh(K[np.ix_(train, train)])
+    keep = d2 > len(d2) * np.finfo(float).eps * d2[-1]
+    U, d = U[:, keep], np.sqrt(d2[keep])
+    Z_tr = np.hstack([U * d, X_unpen[train]])
+    Z_te = np.hstack([K[np.ix_(test, train)] @ (U / d), X_unpen[test]])
+    mask = np.arange(Z_tr.shape[1]) >= len(d)
+    ones = np.ones(len(mask))
     scores = np.full(len(penalties), -np.inf)
     beta = None
     steps = 0
     for k in np.argsort(-penalties, kind="stable"):
-        state = PenaltyState.uniform(1.0 / penalties[k], Z_tr.shape[1], mask_rot)
+        state = PenaltyState(1.0 / penalties[k], ones, mask)
         try:
             fit = fit_weighted_ridge(Z_tr, resp_tr, state, beta0=beta)
         except ConvergenceError as err:

@@ -141,33 +141,53 @@ def solve_lasso_hyper(
     threshold nothing is selected, without a coordinate-descent run: its
     first violator test is the same comparison.
     """
+    return _lasso_batch([system], lam, [W_gamma])[0]
+
+
+def _lasso_batch(systems, lam, W_gammas) -> list[GroupWeights]:
+    """:func:`solve_lasso_hyper` on each system, with one stacked ridge refit."""
     if lam == 0:
-        return solve_ridge_hyper(system, 0.0, W_gamma)
-    A = np.asarray(system.A, dtype=float)
-    b = np.asarray(system.b, dtype=float)
-    W = np.asarray(W_gamma, dtype=float)
-    if lam >= lasso_null_threshold(system, W):
-        G = A.shape[1]
-        return GroupWeights(np.zeros(G), np.zeros(G, dtype=bool), float(lam))
-    As = A / np.sqrt(W)[None, :]
-    # ||As g - b||^2 + lam ||g||_1, halved
-    g_scaled = elastic_net_cd(As, 1.0, b, lam / 2.0)
-    selected = np.abs(g_scaled) > 0
-    gamma = _ridge_refit(system, selected, lam, W)
-    return GroupWeights(gamma=gamma, selected=selected, lambda_used=float(lam))
+        return [solve_ridge_hyper(s, 0.0, w) for s, w in zip(systems, W_gammas)]
+    selections = []
+    for system, W in zip(systems, W_gammas):
+        W = np.asarray(W, dtype=float)
+        if lam >= lasso_null_threshold(system, W):
+            selections.append(np.zeros(len(W), dtype=bool))
+            continue
+        As = np.asarray(system.A, dtype=float) / np.sqrt(W)[None, :]
+        # ||As g - b||^2 + lam ||g||_1, halved
+        g_scaled = elastic_net_cd(As, 1.0, np.asarray(system.b, dtype=float), lam / 2.0)
+        selections.append(np.abs(g_scaled) > 0)
+    gammas = _ridge_refits(systems, selections, lam, W_gammas)
+    return [GroupWeights(g, sel, float(lam)) for g, sel in zip(gammas, selections)]
 
 
-def _ridge_refit(system: MomentSystem, selected, lam: float, W) -> np.ndarray:
-    """Ridge weights of the selected groups at strength ``lam``, zero elsewhere."""
-    gamma = np.zeros(len(selected))
-    if selected.any():
-        sub = MomentSystem(
-            A=np.asarray(system.A, dtype=float)[:, selected],
-            b=system.b,
-            group_labels=tuple(np.asarray(system.group_labels)[selected]),
-        )
-        gamma[selected] = solve_ridge_hyper(sub, lam, W[selected]).gamma
-    return gamma
+def _ridge_refits(systems, selections, lam: float, W_gammas) -> list[np.ndarray]:
+    """Ridge weights of each system's selected groups at strength ``lam > 0``,
+    zero elsewhere: :func:`solve_ridge_hyper` on the selected columns, with
+    one stacked solve for all systems of one selection pattern (a system
+    with fewer equations is padded with zero rows, which change nothing)."""
+    gammas = [np.zeros(len(sel)) for sel in selections]
+    patterns: dict[bytes, list[int]] = {}
+    for s, sel in enumerate(selections):
+        if sel.any():
+            patterns.setdefault(sel.tobytes(), []).append(s)
+    for members in patterns.values():
+        sel = selections[members[0]]
+        sqw = np.sqrt([np.asarray(W_gammas[s], dtype=float)[sel] for s in members])
+        As = np.zeros((len(members), max(len(systems[s].b) for s in members), len(sqw[0])))
+        b = np.zeros(As.shape[:2])
+        for i, s in enumerate(members):
+            A = np.asarray(systems[s].A, dtype=float)
+            As[i, : len(A)] = A[:, sel] / sqw[i]
+            b[i, : len(A)] = systems[s].b
+        AsT = As.transpose(0, 2, 1)
+        lhs = AsT @ As + lam * np.eye(As.shape[2])
+        rhs = AsT @ b[:, :, None] + lam * sqw[:, :, None]
+        g_scaled = np.linalg.solve(lhs, rhs)[:, :, 0]
+        for s, g, q in zip(members, g_scaled, sqw):
+            gammas[s][sel] = np.maximum(g / q, 0.0)
+    return gammas
 
 
 def lasso_null_threshold(
@@ -318,15 +338,18 @@ def _hierarchical_lasso_batch(
         )
         latent_norms[fista] = np.sqrt(np.add.reduceat(u * u, np.cumsum(sizes) - sizes, axis=1))
 
-    out = []
+    selections = []
     for s, norms in enumerate(latent_norms):
         latent_norm_tol = 1e-8 * (1.0 + np.abs(b[s]).max())
         kept = ~penalised | (norms > latent_norm_tol)
         selected = np.zeros(G, dtype=bool)
         selected[flat[np.repeat(kept, sizes)]] = True
-        gamma = _ridge_refit(systems[s], selected, lam, W[s])
-        out.append(GroupWeights(gamma, selected, float(lam), float(objective[s])))
-    return out
+        selections.append(selected)
+    gammas = _ridge_refits(systems, selections, lam, W)
+    return [
+        GroupWeights(gamma, selected, float(lam), float(obj))
+        for gamma, selected, obj in zip(gammas, selections, objective)
+    ]
 
 
 def solve_hierarchical_lasso(
@@ -363,8 +386,9 @@ def solve_hyper(
 ) -> list[GroupWeights]:
     """Solve each system, with its group sizes, under the penalty's kind.
 
-    The hierarchical lasso solves all systems in one batched run; the other
-    kinds solve them one by one.
+    The hierarchical lasso solves all systems in one batched run; the lasso
+    selects on each system and refits the selections with one stacked solve
+    per selection pattern; the ridge kinds solve the systems one by one.
     """
     kind = penalty.kind
     if kind == "hierarchical_lasso":
@@ -376,7 +400,7 @@ def solve_hyper(
     elif kind == "ridge":
         solve = lambda s, w: solve_ridge_hyper(s, penalty.lam, w, target=penalty.target)
     elif kind == "lasso":
-        solve = lambda s, w: solve_lasso_hyper(s, penalty.lam, w)
+        return _lasso_batch(systems, penalty.lam, W_gammas)
     else:
         raise DataError(f"unknown hyperpenalty kind '{kind}'")
     return [solve(s, w) for s, w in zip(systems, W_gammas)]

@@ -90,6 +90,28 @@ class TestSolveGroupingWeights:
         sys = MomentSystem(A=A, b=b, group_labels=tuple("abcdef"))
         assert np.allclose(solve_grouping_weights(sys), ref, atol=1e-10)
 
+    def test_nearly_collinear_sources_stay_bounded(self):
+        # two nearly equal columns, as when both sources' group weights are
+        # close to 1: least squares splits the fit into +-9.4e3 and
+        # truncating gave one source a weight of 9.4e3; the non-negative
+        # optimum puts the weight on one source
+        rng = np.random.default_rng(9)
+        a = rng.uniform(0.5, 1.5, 10)
+        A = np.column_stack([a, a + 1e-6 * rng.standard_normal(10)])
+        b = a + 0.05 * rng.standard_normal(10)
+        assert np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0).max() > 1e3
+        w = solve_grouping_weights(MomentSystem(A=A, b=b, group_labels=tuple("abcdefghij")))
+        # the oracle: the best non-negative fit over every support
+        fits = [np.zeros(2)]
+        for cols in ([0], [1], [0, 1]):
+            sub = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
+            if (sub >= 0).all():
+                fits.append(np.zeros(2))
+                fits[-1][cols] = sub
+        ref = min(fits, key=lambda v: np.linalg.norm(A @ v - b))
+        assert (w >= 0).all() and w.max() < 2.0
+        assert np.abs(w - ref).max() <= 1e-8
+
     def test_rank_deficient_warns(self):
         A = np.column_stack([np.ones(4), np.ones(4)])
         sys = MomentSystem(A=A, b=np.ones(4), group_labels=tuple("abcd"))
@@ -469,6 +491,22 @@ class TestSerialization:
         assert back.diagnostics == model.diagnostics
         forced = fit_ecpc(X, resp, [g], forced_hyperlambda=2.0).diagnostics["hyperlambda"]
         assert forced[0]["grid"] == forced[0]["mean_rss"] == []
+
+    def test_round_trip_source_weights(self):
+        # the non-negative source weights and their residual, and the record
+        # of a single source, which solves no system
+        X, resp, g = gaussian_data(38)
+        rng = np.random.default_rng(2)
+        perm = rng.permutation(X.shape[1])
+        other = Grouping(groups=(tuple(perm[:15]), tuple(perm[15:])), p=X.shape[1], name="r")
+        model = fit_ecpc(X, resp, [g, other])
+        record = model.diagnostics["source_weights"]
+        assert record["w"] == list(model.w) and min(record["w"]) >= 0.0
+        assert record["residual"] >= 0.0 and np.isfinite(record["residual"])
+        back = model_from_json(model_to_json(model))
+        assert back.diagnostics == model.diagnostics
+        single = fit_ecpc(X, resp, [g]).diagnostics["source_weights"]
+        assert single == {"w": [1.0], "residual": None}
 
     def test_rejects_other_documents(self):
         with pytest.raises(DataError):

@@ -38,13 +38,16 @@ def rand_problem(seed, n, p):
 
 @contextmanager
 def counted_factorisations():
-    """Record the order of every matrix ``glm`` factors, by Cholesky or LU."""
+    """Record the order of every matrix ``glm`` factors, by Cholesky (scipy's
+    wrapper or LAPACK's ``dpotrf``) or LU."""
     factored = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("cho_factor", "lu_factor"):
+        for name in ("cho_factor", "dpotrf", "lu_factor"):
             factor = getattr(glm, name)
             mp.setattr(
-                glm, name, lambda M, f=factor, **kw: factored.append(len(M)) or f(M, **kw)
+                glm,
+                name,
+                lambda M, *a, f=factor, **kw: factored.append(len(M)) or f(M, *a, **kw),
             )
         yield factored
 
@@ -669,14 +672,68 @@ class TestGlobalVarianceCV:
         test = np.arange(n) % 4 == 0
         train = ~test
         resp_tr, resp_te = resp.subset(train), resp.subset(test)
+        Xp = X[:, ~mask]
         (score,), steps = _fold_path_scores(
-            X[train], resp_tr, X[test], resp_te, mask, np.array([lam])
+            Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te, np.array([lam])
         )
         state = PenaltyState.uniform(1.0 / lam, X.shape[1], mask)
         fit = fit_weighted_ridge(X[train], resp_tr, state)
         ref = family_loglik(resp_te, X[test] @ fit.beta)
         assert abs(score - ref) <= 1e-8
         assert 1 <= steps <= 30
+
+    @given(
+        st.sampled_from(["binomial", "cox"]),
+        st.integers(0, 10_000),
+        st.sampled_from(["p<m", "p=m", "p>m"]),
+        st.booleans(),
+        st.integers(0, 1),
+        st.sampled_from([2.0, 20.0, 200.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gram_fold_scores_match_cold_full_fit(
+        self, family, seed, shape, duplicated, unpenalized, lam
+    ):
+        # the fold's coordinates from the n x n Gram and one eigh, on both
+        # sides of p = m (training rows), with half the penalised columns
+        # copies of the other half (a rank-deficient block when p <= m),
+        # score what a fit on the full design scores.  Every fit takes one
+        # Newton step past the stop rule, whose test is relative to
+        # 1 + |objective|: a step short, the two sides differ by up to 1e-7
+        # here, the same with the parent's per-fold SVD.
+        n = 32
+        test = np.arange(n) % 4 == 0
+        train = ~test
+        p = {"p<m": 12, "p=m": 24, "p>m": 53}[shape]
+        X, resp, mask = cv_problem(family, seed, n, p, unpenalized)
+        if duplicated:
+            X[:, p // 2 : 2 * (p // 2)] = X[:, : p // 2]
+        resp_tr, resp_te = resp.subset(train), resp.subset(test)
+        fit = glm.fit_weighted_ridge
+
+        def polished(*args, **kwargs):
+            return fit(*args, **{**kwargs, "beta0": fit(*args, **kwargs).beta})
+
+        Xp = X[:, ~mask]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "fit_weighted_ridge", polished)
+            (score,), _ = _fold_path_scores(
+                Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te, np.array([lam])
+            )
+        state = PenaltyState.uniform(1.0 / lam, X.shape[1], mask)
+        ref = family_loglik(resp_te, X[test] @ polished(X[train], resp_tr, state).beta)
+        assert abs(score - ref) <= 1e-10
+
+    @pytest.mark.parametrize("family", ["binomial", "cox"])
+    def test_cv_takes_no_svd(self, family, monkeypatch):
+        # one Gram and a small eigh per fold replace the per-fold SVDs
+        def fail(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        X, resp, mask = cv_problem(family, 19, 40, 100, unpenalized=family == "binomial")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        gv = estimate_global_variance(X, resp, n_folds=4, seed=0, unpenalized_mask=mask)
+        assert np.isfinite(gv.cv_scores).any()
 
     def test_newton_solves_stay_in_the_row_space(self, monkeypatch):
         X, resp, mask = cv_problem("binomial", 17, 40, 100, unpenalized=1)

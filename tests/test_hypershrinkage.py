@@ -545,6 +545,35 @@ class TestNullScreening:
             if null:
                 assert abs(got.objective - null_fit(sys, W)[2]) <= 1e-12 * got.objective
 
+    @pytest.mark.parametrize("G", [7, 8])
+    @pytest.mark.parametrize("where", ["below all", "median"])
+    def test_lasso_batch_matches_per_system_refits(self, G, where):
+        # the lasso's refits are stacked per selection pattern, the systems
+        # with fewer equations padded; each must equal its own ridge refit
+        cases = [hier_case(400 + seed, G) for seed in range(8)]
+        extra, W0 = hier_case(399, G + 1)  # one equation more than the others
+        cases[0] = (
+            MomentSystem(A=extra.A[:, :G], b=extra.b, group_labels=extra.group_labels),
+            W0[:G],
+        )
+        systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
+        thresholds = [lasso_null_threshold(s, W) for s, W in zip(systems, Ws)]
+        lam = 1e-6 * min(thresholds) if where == "below all" else float(np.median(thresholds))
+        batch = solve_hyper(systems, HyperPenalty(kind="lasso", lam=lam), Ws)
+        patterns = set()
+        for (sys, W), got in zip(cases, batch):
+            selected = elastic_net_cd(sys.A / np.sqrt(W), 1.0, sys.b, lam / 2) != 0
+            if lam >= lasso_null_threshold(sys, W):
+                selected[:] = False
+            assert np.array_equal(got.selected, selected)
+            ref = ridge_weights(sys, selected, lam, W)
+            assert np.abs(got.gamma - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            patterns.add(selected.tobytes())
+        if where == "below all":  # one stack of eight, the padded system in it
+            assert patterns == {np.ones(G, dtype=bool).tobytes()}
+        else:  # screened systems and refits side by side
+            assert np.zeros(G, dtype=bool).tobytes() in patterns and len(patterns) > 1
+
 
 def _core_and_grouping(seed=21, n=20, p=12, G=4):
     rng = np.random.default_rng(seed)
