@@ -200,18 +200,13 @@ def concordance_index(risk, times, status) -> float:
     risk = np.asarray(risk, dtype=float)
     times = np.asarray(times, dtype=float)
     status = np.asarray(status, dtype=float)
-    n = len(times)
-    conc = ties = comp = 0
-    for i in range(n):
-        if status[i] != 1:
-            continue
-        for j in range(n):
-            if times[j] > times[i] or (times[j] == times[i] and status[j] == 0):
-                comp += 1
-                if risk[i] > risk[j]:
-                    conc += 1
-                elif risk[i] == risk[j]:
-                    ties += 1
+    # pair (i, j), i an event: comparable when j outlives i or is censored at its time
+    ev = status == 1
+    t_i, r_i = times[ev, None], risk[ev, None]
+    comparable = (times > t_i) | ((times == t_i) & (status == 0))
+    comp = int(comparable.sum())
+    conc = int((comparable & (r_i > risk)).sum())
+    ties = int((comparable & (r_i == risk)).sum())
     if comp == 0:
         raise DataError("no comparable pairs for concordance")
     return float((conc + 0.5 * ties) / comp)

@@ -233,7 +233,7 @@ def fit_ecpc(
         system = build_variance_system(core, Z, grouping, tau_global=tau_global)
         (gw,) = solve_hyper(
             [system],
-            HyperPenalty(kind=penalty.kind, lam=choice.lam, target=penalty.target),
+            HyperPenalty(kind=penalty.kind, lam=choice.lam),
             [group_size_scaling(grouping)],
             tree=trees[d],
         )

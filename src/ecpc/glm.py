@@ -237,21 +237,24 @@ def _solve_dual(X, w, omega, B):
     weight (+1 at zero), Woodbury gives ``M_PP^{-1} = Omega_P^{-1/2}
     (I - S' K^{-1} S) Omega_P^{-1/2}`` with the n x n kernel
     ``K = D + S S'``, factored once: by Cholesky, or by LU when a weight is
-    negative and ``K`` is indefinite.  A negative weight also gets one step
-    of iterative refinement, which applies the same factors to the residual:
-    at small penalties the indefinite form alone loses accuracy (up to 1e-5
-    relative at penalty 1e-4 on small cox problems), refined it does not.
+    negative and ``K`` is indefinite.  With ``T_U = |W|^{1/2} X_U``, the
+    unpenalised block's Schur complement is ``T_U' K^{-1} T_U`` (Woodbury),
+    free of the cancellation of ``M_UU - M_UP M_PP^{-1} M_PU`` at large
+    weights.  A negative weight also gets one step of iterative refinement,
+    which applies the same factors to the residual: at small penalties the
+    indefinite form alone loses accuracy (up to 1e-5 relative at penalty
+    1e-4 on small cox problems), refined it does not.
     """
     pen = omega > 0
     unp = ~pen
-    u = int(unp.sum())
-    sq = np.sqrt(omega[pen])[:, None]
+    sq = np.sqrt(np.where(pen, omega, 1.0))[:, None]  # 1 at unpenalised columns
     sign = np.where(w < 0, -1.0, 1.0)
     indefinite = sign.min() < 0
     sw = np.sqrt(np.abs(w))
-    S = X[:, pen]  # becomes |W|^{1/2} X_P Omega_P^{-1/2}, scaled in place
-    S *= sw[:, None]
+    # |W|^{1/2} X_P Omega_P^{-1/2}, zero at X_U; column-major, as X[:, pen] is
+    S = np.multiply(X, sw[:, None], order="F")
     S /= sq.T
+    S[:, unp] = 0.0
     K = S @ S.T
     K.flat[:: len(K) + 1] += sign
     factor, solve = (lu_factor, lu_solve) if indefinite else (cho_factor, cho_solve)
@@ -261,42 +264,28 @@ def _solve_dual(X, w, omega, B):
             raise np.linalg.LinAlgError
     except (np.linalg.LinAlgError, LinAlgWarning):  # the LU's warning, if made an error
         raise _singular("dual kernel singular", K)
-
-    def solve_pen(Zp):  # M_PP^{-1} Omega_P^{1/2} Zp, in place
-        Zp -= S.T @ solve(fK, S @ Zp, check_finite=False)
-        Zp /= sq
-        return Zp
-
-    if u:
-        # one Woodbury solve for the coupling block and the penalised rhs
-        Xu = X[:, unp]
-        Su = S.T @ ((sign * sw)[:, None] * Xu)  # Omega_P^{-1/2} X_P' W X_U
-        Zp = np.hstack([Su, B[pen]])
-        Zp[:, u:] /= sq
-        Minv_pu, Zp = np.hsplit(solve_pen(Zp), [u])
-        M_pu = sq * Su
-        schur = (Xu.T * w) @ Xu
-        schur -= M_pu.T @ Minv_pu
+    if unp.any():
+        T = sw[:, None] * X[:, unp]
+        V = solve(fK, T, check_finite=False)
+        schur = T.T @ V
         try:
             cS = cho_factor(schur, check_finite=False)
         except np.linalg.LinAlgError:
             raise _singular("unpenalised block not identifiable", schur)
-    else:
-        Zp = solve_pen(B / sq)
 
-    def finish(Minv_bp, Bu):  # M^{-1} B from M_PP^{-1} B_P
-        if not u:
-            return Minv_bp
-        Zu = cho_solve(cS, Bu - M_pu.T @ Minv_bp, check_finite=False)
-        Minv_bp -= Minv_pu @ Zu
-        Z = np.empty_like(B)
-        Z[pen], Z[unp] = Minv_bp, Zu
+    def apply(B):  # M^{-1} B: s = K^{-1} S Omega_P^{-1/2} B_P, plus V Z_U
+        Z = B / sq
+        s = solve(fK, S @ Z, check_finite=False)
+        if unp.any():
+            Z[unp] = cho_solve(cS, B[unp] - T.T @ s, check_finite=False)
+            s += V @ Z[unp]
+        Z -= S.T @ s
+        Z /= sq
         return Z
 
-    Z = finish(Zp, B[unp])
+    Z = apply(B)
     if indefinite:
-        R = B - (X.T @ (w[:, None] * (X @ Z)) + omega[:, None] * Z)
-        Z += finish(solve_pen(R[pen] / sq), R[unp])
+        Z += apply(B - (X.T @ (w[:, None] * (X @ Z)) + omega[:, None] * Z))
     return Z
 
 
@@ -690,7 +679,9 @@ def estimate_global_variance(
 
     Gaussian: maximises the analytic marginal likelihood of
     ``y ~ N(0, sigma2 I + tau2 X X')`` over (sigma2, tau2) via the spectrum
-    of ``X X'``; a supplied sigma2 is kept fixed.  Binomial/cox: stratified
+    of ``X X'``; a supplied sigma2 is kept fixed.  With u unpenalised
+    columns, that of the n - u error contrasts ``N'y``, ``N`` an orthonormal
+    basis of their span's complement (REML).  Binomial/cox: stratified
     k-fold cross-validation over a log-spaced grid of total penalty levels,
     maximising the mean held-out log-likelihood; ``tau2 = 1 / lambda_star``.
     Each fold fits its penalties from the largest down, each fit warm-started
@@ -712,14 +703,10 @@ def estimate_global_variance(
 
     if resp.family == "gaussian":
         Xp = X[:, ~mask]
+        y = resp.y
         if mask.any():
-            # project out unpenalised directions before the spectral fit
-            Xu = X[:, mask]
-            Q, _ = np.linalg.qr(Xu)
-            y = resp.y - Q @ (Q.T @ resp.y)
-            Xp = Xp - Q @ (Q.T @ Xp)
-        else:
-            y = resp.y
+            N = np.linalg.qr(X[:, mask], mode="complete")[0][:, mask.sum() :]
+            y, Xp = N.T @ y, N.T @ Xp
         d, Q = np.linalg.eigh(Xp @ Xp.T)
         d = np.clip(d, 0.0, None)
         if d.max() <= 0:

@@ -56,7 +56,6 @@ class HyperPenalty:
 
     kind: str = "ridge"
     lam: float = 0.0
-    target: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -100,11 +99,10 @@ def solve_ridge_hyper(
     system: MomentSystem,
     lam: float,
     W_gamma: np.ndarray,
-    target: float = 1.0,
 ) -> GroupWeights:
-    """Shrink group weights towards a common target.
+    """Shrink group weights towards the non-informative weight 1.
 
-    Minimises ``||A W^{-1/2} g' - b||^2 + lam * ||g' - W^{1/2} target||^2``
+    Minimises ``||A W^{-1/2} g' - b||^2 + lam * ||g' - W^{1/2}||^2``
     over the scaled weights ``g' = W^{1/2} gamma`` and returns the
     unscaled minimiser truncated at zero.  The scaling makes the penalty
     act on the same per-covariate scale for groups of different sizes.
@@ -116,13 +114,12 @@ def solve_ridge_hyper(
     W = np.asarray(W_gamma, dtype=float)
     sqw = np.sqrt(W)
     As = A / sqw[None, :]
-    t_scaled = sqw * target
     G = A.shape[1]
     if lam == 0:
         g_scaled, *_ = np.linalg.lstsq(As, b, rcond=None)
     else:
         lhs = As.T @ As + lam * np.eye(G)
-        rhs = As.T @ b + lam * t_scaled
+        rhs = As.T @ b + lam * sqw
         g_scaled = np.linalg.solve(lhs, rhs)
     gamma = np.maximum(g_scaled / sqw, 0.0)
     return GroupWeights(gamma=gamma, selected=gamma > 0, lambda_used=float(lam))
@@ -396,9 +393,9 @@ def solve_hyper(
             raise DataError(f"hyperpenalty kind '{kind}' requires a hierarchy")
         return _hierarchical_lasso_batch(systems, tree, penalty.lam, W_gammas)
     if kind == "none":
-        solve = lambda s, w: solve_ridge_hyper(s, 0.0, w, target=penalty.target)
+        solve = lambda s, w: solve_ridge_hyper(s, 0.0, w)
     elif kind == "ridge":
-        solve = lambda s, w: solve_ridge_hyper(s, penalty.lam, w, target=penalty.target)
+        solve = lambda s, w: solve_ridge_hyper(s, penalty.lam, w)
     elif kind == "lasso":
         return _lasso_batch(systems, penalty.lam, W_gammas)
     else:

@@ -15,6 +15,7 @@ from ecpc import (
 )
 from ecpc import ConvergenceError, glm, hypershrinkage
 from ecpc.codata import build_codata_matrix, build_hierarchy_from_continuous
+from ecpc.estimator import TAU_LOCAL_FLOOR
 from ecpc.glm import PenaltyState, estimate_global_variance, fit_weighted_ridge
 from ecpc.hypershrinkage import solve_hierarchical_lasso
 from ecpc.mom import MomentSystem
@@ -315,6 +316,28 @@ class TestEdgeCases:
         resp = ResponseFamily.cox(rng.exponential(1.0, len(X)), np.ones(len(X)))
         with pytest.raises(DataError, match="no intercept"):
             fit_ecpc(X, resp, [g], intercept=True)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gaussian_intercept_fit_is_stationary(self, seed):
+        # Independent covariates, signal variance 4 decaying over 4 groups,
+        # y shifted by 3: sigma2 often lands near 0, where the likelihood
+        # needs the intercept's direction removed and the solve must not
+        # cancel.  The final fit's penalised score vanishes on every seed.
+        n, p, G = 4, 8, 4
+        rng = np.random.default_rng(seed)
+        beta = rng.normal(0.0, np.repeat(np.exp(-np.arange(G) / (G / 2)), p // G))
+        beta *= 2.0 / np.linalg.norm(beta)
+        X = rng.standard_normal((n, p))
+        y = X @ beta + rng.standard_normal(n) + 3.0
+        model = fit_ecpc(X, ResponseFamily.gaussian(y), [disjoint_grouping(p, G)], intercept=True)
+        keep = model.tau_local > 0  # the covariates the final fit penalises
+        omega = 1.0 / (model.tau_global * np.maximum(model.tau_local[keep], TAU_LOCAL_FLOOR))
+        beta = model.beta[keep]
+        r = (y - X @ model.beta - model.intercept) / model.sigma2
+        score = np.append(X[:, keep].T @ r - omega * beta, r.sum())
+        objective = -0.5 * (r @ r * model.sigma2 + n * np.log(2 * np.pi * model.sigma2))
+        objective -= 0.5 * beta @ (omega * beta)
+        assert np.abs(score).max() <= 1e-5 * (1.0 + abs(objective))
 
     def test_cox_all_censored_zero_beta(self):
         rng, X, g = edge_data(54)

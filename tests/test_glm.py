@@ -122,6 +122,31 @@ class TestGaussianRidge:
         with pytest.raises(ValueError, match="infs or NaNs"):
             glm.solve_penalized_system(X, w, omega, rng.standard_normal(p))
 
+    def test_unpenalised_column_at_large_weights(self):
+        # gaussian weights 1/sigma2 as sigma2 -> 0, where a Schur complement
+        # X_U'WX_U - M_UP M_PP^-1 M_PU formed by subtraction cancels: through
+        # the dual kernel an intercept costs the solve no accuracy
+        n, p = 50, 500
+
+        def rel_error(seed, s2, unpenalised):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((n, p))
+            X[:, 0] = 1.0
+            omega = np.full(p, 10.0)
+            omega[0] = 0.0 if unpenalised else 10.0
+            w = np.full(n, 1.0 / s2)
+            rhs = X.T @ (w * rng.standard_normal(n))
+            Z = glm.solve_penalized_system(X, w, omega, rhs)
+            ref = np.linalg.solve((X.T * w) @ X + np.diag(omega), rhs)
+            return np.abs(Z - ref).max() / np.abs(ref).max()
+
+        for s2 in (1.0, 1e-3, 1e-6):
+            with_column = max(rel_error(seed, s2, True) for seed in range(5))
+            without = max(rel_error(seed, s2, False) for seed in range(5))
+            assert with_column <= 10 * without
+        for seed in range(5):
+            assert np.isfinite(rel_error(seed, 1e-9, True))
+
     def test_column_rescaling_equivariance(self):
         X, y = rand_problem(4, 15, 6)
         tau_local = np.full(6, 1.3)
@@ -603,6 +628,26 @@ class TestGlobalVariance:
         X = rng.standard_normal((20, 10))
         gv = estimate_global_variance(X, ResponseFamily.gaussian(np.zeros(20)))
         assert gv.tau_global < 1e-6
+
+    def test_gaussian_intercept_shift_invariance(self):
+        # with an unpenalised intercept the likelihood is that of the error
+        # contrasts, which a shift of y leaves unchanged up to rounding; the
+        # estimates then agree to L-BFGS-B's stopping tolerance where the
+        # optimum is interior (at a sigma2 collapse it stops anywhere on the
+        # likelihood's plateau)
+        rng = np.random.default_rng(18)
+        n, p = 40, 120
+        X = np.hstack([rng.standard_normal((n, p)), np.ones((n, 1))])
+        y = X[:, :p] @ rng.normal(0.0, 0.1, p) + rng.standard_normal(n)
+        mask = np.arange(p + 1) == p
+        gv = estimate_global_variance(X, ResponseFamily.gaussian(y), unpenalized_mask=mask)
+        assert 0.5 < gv.sigma2 < 2.0
+        for c in (3.0, -50.0):
+            shifted = estimate_global_variance(
+                X, ResponseFamily.gaussian(y + c), unpenalized_mask=mask
+            )
+            assert shifted.sigma2 == pytest.approx(gv.sigma2, rel=1e-5)
+            assert shifted.tau_global == pytest.approx(gv.tau_global, rel=1e-5)
 
     def test_fixed_sigma2_respected(self):
         rng = np.random.default_rng(13)
