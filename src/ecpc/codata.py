@@ -229,7 +229,6 @@ def build_hierarchy_from_continuous(
     values,
     min_group_size: int,
     initial_threshold: float | None = None,
-    recurse_low_only: bool | None = None,
     name: str = "continuous",
 ) -> tuple[Grouping, HierTree]:
     """Discretise a continuous covariate annotation into hierarchical groups.
@@ -239,7 +238,7 @@ def build_hierarchy_from_continuous(
     index); recursion stops when a child would fall below ``min_group_size``.
 
     With ``initial_threshold`` the root is first split at that fixed value
-    and, by default, only the low branch is recursed further.  Covariates
+    and only the low branch is recursed further.  Covariates
     with missing (NaN) values go to a dedicated extra group outside the
     hierarchy.
     """
@@ -258,8 +257,6 @@ def build_hierarchy_from_continuous(
             f"min_group_size {min_group_size} exceeds the number of annotated covariates "
             f"({present.size})"
         )
-    if recurse_low_only is None:
-        recurse_low_only = initial_threshold is not None
 
     # stable ordering by value, ties by original covariate index
     order = present[np.argsort(values[present], kind="stable")]
@@ -274,7 +271,7 @@ def build_hierarchy_from_continuous(
         return node
 
     def recurse(members: np.ndarray, node: int, low_branch: bool) -> None:
-        if recurse_low_only and not low_branch:
+        if initial_threshold is not None and not low_branch:
             return
         if math.floor(len(members) / 2) < min_group_size:
             return

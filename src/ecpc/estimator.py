@@ -29,6 +29,7 @@ from .glm import (
     moment_weights,
 )
 from .hypershrinkage import (
+    KINDS,
     HyperLambda,
     HyperPenalty,
     estimate_hyperlambda,
@@ -126,18 +127,21 @@ def solve_grouping_weights(system: MomentSystem) -> np.ndarray:
     return nnls(A, b)[0]
 
 
-def _coerce_penalties(codata_list, hyper) -> list[HyperPenalty]:
-    D = len(codata_list)
+def _coerce_kinds(codata_list, hyper) -> list[str]:
+    """One hypershrinkage kind name per co-data source (default ridge)."""
     if hyper is None:
-        return [HyperPenalty(kind="ridge")] * D
+        hyper = "ridge"
     if isinstance(hyper, (str, HyperPenalty)):
-        hyper = [hyper] * D
-    if len(hyper) != D:
+        hyper = [hyper] * len(codata_list)
+    if len(hyper) != len(codata_list):
         raise DataError("need one hypershrinkage kind per co-data source")
-    out = []
     for h in hyper:
-        out.append(HyperPenalty(kind=h) if isinstance(h, str) else h)
-    return out
+        if h not in KINDS:  # a HyperPenalty too: its strength would be ignored
+            raise DataError(
+                f"unknown hyperpenalty kind {h!r}: hyper takes names from {KINDS}; "
+                "set the strength with forced_hyperlambda"
+            )
+    return list(hyper)
 
 
 def fit_ecpc(
@@ -155,11 +159,11 @@ def fit_ecpc(
     """Fit a co-data adaptive ridge model.
 
     ``codata_list`` holds one grouping per co-data source (each covering all
-    columns of ``X``); ``hyper`` gives the hypershrinkage kind per source
-    (default ridge).  ``forced_hyperlambda`` skips the split-based tuning
-    and uses the given strength for every source (mainly for the
-    non-informative limit and for tests).  A cox fit takes no intercept:
-    the partial likelihood does not depend on one.
+    columns of ``X``); ``hyper`` gives the hypershrinkage kind name, one of
+    ``KINDS``, per source (default ridge).  ``forced_hyperlambda`` skips the
+    split-based tuning and uses the given strength for every source (mainly
+    for the non-informative limit and for tests).  A cox fit takes no
+    intercept: the partial likelihood does not depend on one.
     """
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
@@ -174,7 +178,7 @@ def fit_ecpc(
             raise DataError(
                 f"grouping '{g.name}' covers {g.p} covariates but X has {p} columns"
             )
-    penalties = _coerce_penalties(codata_list, hyper)
+    kinds = _coerce_kinds(codata_list, hyper)
 
     X_aug = np.hstack([X, np.ones((n, 1))]) if intercept else X
     p_aug = X_aug.shape[1]
@@ -204,17 +208,13 @@ def fit_ecpc(
     tuning: list[dict] = []
     moments: list[dict] = []
     trees = [g.tree for g in codata_list]
-    for d, (grouping, Z, penalty) in enumerate(
-        zip(codata_list, codata_matrices, penalties)
-    ):
-        if penalty.kind == "hierarchical_lasso" and trees[d] is None:
-            raise DataError(
-                f"grouping '{grouping.name}' has no hierarchy for kind '{penalty.kind}'"
-            )
-        tuned = penalty.kind != "none" and forced_hyperlambda is None
+    for d, (grouping, Z, kind) in enumerate(zip(codata_list, codata_matrices, kinds)):
+        if kind == "hierarchical_lasso" and trees[d] is None:
+            raise DataError(f"grouping '{grouping.name}' has no hierarchy for kind '{kind}'")
+        tuned = kind != "none" and forced_hyperlambda is None
         route = core.plan(Z, n_splits if tuned else 0)
         moments.append({"route": route, "rank": core.rank})
-        if penalty.kind == "none":
+        if kind == "none":
             choice = HyperLambda(0.0)
         elif forced_hyperlambda is not None:
             choice = HyperLambda(float(forced_hyperlambda))
@@ -222,7 +222,7 @@ def fit_ecpc(
             choice = estimate_hyperlambda(
                 grouping,
                 core,
-                penalty_kind=penalty.kind,
+                penalty_kind=kind,
                 n_splits=n_splits,
                 seed=seed + 1000 * (d + 1),
                 grid=hyperlambda_grid,
@@ -233,7 +233,7 @@ def fit_ecpc(
         system = build_variance_system(core, Z, grouping, tau_global=tau_global)
         (gw,) = solve_hyper(
             [system],
-            HyperPenalty(kind=penalty.kind, lam=choice.lam),
+            HyperPenalty(kind=kind, lam=choice.lam),
             [group_size_scaling(grouping)],
             tree=trees[d],
         )
@@ -270,7 +270,7 @@ def fit_ecpc(
             w = np.full(len(codata_list), 1.0 / len(codata_list))
 
     tau_local = combine_local_variances(codata_matrices, gammas, w)
-    group_sparse = any(pen.kind in SPARSE_KINDS for pen in penalties)
+    group_sparse = any(kind in SPARSE_KINDS for kind in kinds)
     dropped = tau_local <= 0
     if dropped.all():
         raise DataError("all local variances are zero; no covariate left to fit")

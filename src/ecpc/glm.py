@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from .errors import ConvergenceError, DataError, SingularSystemError
@@ -393,7 +393,6 @@ def fit_weighted_ridge(
     resp: ResponseFamily,
     pen: PenaltyState,
     max_iter: int = 100,
-    tol: float = 1e-8,
     beta0=None,
     lam1: float = 0.0,
 ) -> RidgeFit:
@@ -412,7 +411,7 @@ def fit_weighted_ridge(
     the minimum-norm subgradient ``g`` of the objective (the penalised score
     when ``lam1 == 0``): the loop stops once ``max|g| < 1e-8 (1 + |obj|)``,
     or after three successive steps whose relative objective change is
-    below ``tol`` while ``max|g| < 1e-5 (1 + |obj|)``; a small objective
+    below ``1e-8`` while ``max|g| < 1e-5 (1 + |obj|)``; a small objective
     change alone never stops it.  A gaussian objective is its own quadratic
     model, so one step solves it up to the accuracy of the linear solve.
     Raises :class:`ConvergenceError` (carrying the last iterate) if the
@@ -491,7 +490,7 @@ def fit_weighted_ridge(
         if sub_norm < 1e-8 * (1.0 + abs(obj)):
             converged = True
             break
-        if rel_change < tol and sub_norm < 1e-5 * (1.0 + abs(obj)):
+        if rel_change < 1e-8 and sub_norm < 1e-5 * (1.0 + abs(obj)):
             stalled += 1
             if stalled >= 3:
                 converged = True
@@ -625,19 +624,16 @@ def _signed_newton(cols, wcols, r, b, pen, ridge, lam1):
 
 @dataclass
 class GlobalVariance:
+    """A global-variance estimate; ``on_grid_boundary``: its search ended on
+    the boundary of its grid (see :func:`estimate_global_variance`)."""
+
     tau_global: float
     sigma2: float | None = None
     lambda_star: float | None = None
     grid: np.ndarray | None = None
     cv_scores: np.ndarray | None = None
     newton_steps: int = 0  # of all cross-validation fits, capped ones included
-
-    @property
-    def on_grid_boundary(self) -> bool:
-        """Whether the cross-validated optimum is the first or last grid point."""
-        if self.cv_scores is None:
-            return False
-        return int(np.argmax(self.cv_scores)) in (0, len(self.grid) - 1)
+    on_grid_boundary: bool = False
 
 
 def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarray:
@@ -660,34 +656,34 @@ def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarra
     return assign
 
 
-def _gaussian_marginal_negloglik(log_s2, log_t2, d, u):
-    s2, t2 = math.exp(log_s2), math.exp(log_t2)
-    var = s2 + t2 * d
-    return 0.5 * float(np.sum(np.log(var) + u**2 / var))
-
-
 def estimate_global_variance(
     X,
     resp: ResponseFamily,
     n_folds: int = 10,
     seed: int = 0,
-    grid=None,
     folds=None,
     unpenalized_mask=None,
 ) -> GlobalVariance:
     """Estimate the overall prior variance with all local variances at 1.
 
-    Gaussian: maximises the analytic marginal likelihood of
-    ``y ~ N(0, sigma2 I + tau2 X X')`` over (sigma2, tau2) via the spectrum
-    of ``X X'``; a supplied sigma2 is kept fixed.  With u unpenalised
-    columns, that of the n - u error contrasts ``N'y``, ``N`` an orthonormal
-    basis of their span's complement (REML).  Binomial/cox: stratified
+    Gaussian: maximises the marginal likelihood of ``y ~ N(0, sigma2 I +
+    tau2 X X')``; with u unpenalised columns, that of the n - u error
+    contrasts ``N'y``, ``N`` an orthonormal basis of their span's complement
+    (REML).  In the eigenbasis of the Gram, ``y`` has variances ``sigma2 v``,
+    ``v = 1 + kappa d``: one search in ``log kappa``, ``kappa = tau2 /
+    sigma2``, with sigma2 profiled out as ``mean(u^2 / v)`` unless supplied.
+    It scores 33 points of the bracket ``kappa mean(d) in [1e-8, 1e8]``,
+    which moves with X -> cX as kappa does, and refines an interior best
+    point by bounded Brent between its neighbours.  A best end point is the
+    estimate and sets ``on_grid_boundary``: the upper end is a sigma2
+    collapse, the lower end no signal.  Binomial/cox: stratified
     k-fold cross-validation over a log-spaced grid of total penalty levels,
     maximising the mean held-out log-likelihood; ``tau2 = 1 / lambda_star``.
     Each fold fits its penalties from the largest down, each fit warm-started
     from the previous one (see :func:`_fold_path_scores`).  The first fit
     that fails to converge, or meets a singular system, scores -inf, and so
-    does every smaller penalty of that fold without being fitted.
+    does every smaller penalty of that fold without being fitted.  Either
+    search warns when it ends on the boundary of its grid.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -711,31 +707,29 @@ def estimate_global_variance(
         d = np.clip(d, 0.0, None)
         if d.max() <= 0:
             raise DataError("degenerate X: zero spectrum")
-        u = Q.T @ y
-        scale = float(y @ y) / n if y.any() else 1.0
-        if resp.sigma2 is not None:
-            s2 = resp.sigma2
-            res = minimize(
-                lambda lt: _gaussian_marginal_negloglik(math.log(s2), lt[0], d, u),
-                x0=[math.log(max(scale / max(d.mean(), 1e-12), 1e-10))],
-                method="L-BFGS-B",
-                bounds=[(-34.5, 34.5)],
-            )
-            t2 = math.exp(res.x[0])
-            return GlobalVariance(tau_global=t2, sigma2=s2)
-        res = minimize(
-            lambda x: _gaussian_marginal_negloglik(x[0], x[1], d, u),
-            x0=[
-                math.log(max(scale / 2, 1e-10)),
-                math.log(max(scale / (2 * max(d.mean(), 1e-12)), 1e-12)),
-            ],
-            method="L-BFGS-B",
-            bounds=[(-34.5, 34.5), (-34.5, 34.5)],
-        )
-        s2, t2 = math.exp(res.x[0]), math.exp(res.x[1])
-        return GlobalVariance(tau_global=t2, sigma2=s2)
+        u2 = (Q.T @ y) ** 2
 
-    grid = np.logspace(-4, 6, 50) if grid is None else np.asarray(grid, dtype=float)
+        def nll(log_kappa):  # per contrast, less constants
+            v = 1.0 + np.multiply.outer(np.exp(log_kappa), d)
+            q = (u2 / v).mean(axis=-1)
+            s2 = q if resp.sigma2 is None else resp.sigma2
+            return np.log(s2) + np.log(v).mean(axis=-1) + q / s2
+
+        grid = np.linspace(-1.0, 1.0, 33) * math.log(1e8) - math.log(d.mean())
+        best = 0  # zero contrasts, sigma2 profiled: sigma2 = 0 at every kappa
+        if resp.sigma2 is not None or u2.any():
+            best = int(np.argmin(nll(grid)))
+        log_kappa = grid[best]
+        if 0 < best < len(grid) - 1:
+            log_kappa = minimize_scalar(
+                nll, bounds=(grid[best - 1], grid[best + 1]), method="bounded"
+            ).x
+        kappa = math.exp(log_kappa)
+        s2 = resp.sigma2 or float(np.mean(u2 / (1.0 + kappa * d)))
+        gv = GlobalVariance(kappa * s2, s2, on_grid_boundary=best in (0, len(grid) - 1))
+        return _flag_boundary(gv)
+
+    grid = np.logspace(-4, 6, 50)
     if folds is None:
         folds = stratified_folds(resp, n_folds, seed)
     folds = np.asarray(folds)
@@ -764,7 +758,8 @@ def estimate_global_variance(
         )
         steps += fold_steps
     mean_scores = scores.mean(axis=1)
-    lam_star = float(grid[int(np.argmax(mean_scores))])
+    best = int(np.argmax(mean_scores))
+    lam_star = float(grid[best])
     gv = GlobalVariance(
         tau_global=1.0 / lam_star,
         sigma2=None,
@@ -772,9 +767,15 @@ def estimate_global_variance(
         grid=grid,
         cv_scores=mean_scores,
         newton_steps=steps,
+        on_grid_boundary=best in (0, len(grid) - 1),
     )
+    return _flag_boundary(gv)
+
+
+def _flag_boundary(gv: GlobalVariance) -> GlobalVariance:
+    """``gv``, after a warning if its search ended on the boundary of its grid."""
     if gv.on_grid_boundary:
-        warnings.warn("global-penalty optimum on the grid boundary", stacklevel=2)
+        warnings.warn("global-variance optimum on the grid boundary", stacklevel=3)
     return gv
 
 

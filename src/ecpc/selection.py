@@ -66,7 +66,6 @@ def select_l1(
     resp: ResponseFamily,
     target_count: int,
     mode: str = "dense",
-    path_points: int = 100,
 ) -> SelectionResult:
     """Sparsify by adding an L1 penalty on top of the learnt ridge penalties.
 
@@ -107,7 +106,7 @@ def select_l1(
         return beta
 
     lo_ratio = 1e-4
-    path = lam_max * lo_ratio ** (np.arange(path_points) / (path_points - 1))
+    path = lam_max * lo_ratio ** (np.arange(100) / 99)
     beta = None
     hit = None
     lam_hi, lam_lo = path[0], path[-1]

@@ -207,34 +207,32 @@ def test_criterion_3_dense_algebra_oracles():
 
 
 def test_criterion_4_hypershrinkage_solvers():
-    cvxpy = pytest.importorskip("cvxpy")
-    rng = np.random.default_rng(4)
+    sys, W, tree = _criterion_4_problem()
     ok = True
-
-    G = 7
-    A = rng.standard_normal((G, G)) + 2 * np.eye(G)
-    b = rng.standard_normal(G)
-    sys = MomentSystem(A=A, b=b, group_labels=tuple(str(i) for i in range(G)))
-    W = rng.uniform(1.0, 5.0, G)
 
     # ridge limits
     g_inf = solve_ridge_hyper(sys, 1e12, W).gamma
     ok &= np.abs(g_inf - 1.0).max() < 1e-4
     g_zero = solve_ridge_hyper(sys, 0.0, W).gamma
-    ok &= np.abs(g_zero - np.maximum(np.linalg.solve(A, b), 0.0)).max() < 1e-8
+    ok &= np.abs(g_zero - np.maximum(np.linalg.solve(sys.A, sys.b), 0.0)).max() < 1e-8
 
     # lasso null threshold
     lam_max = lasso_null_threshold(sys, W)
     ok &= not solve_lasso_hyper(sys, lam_max * 1.001, W).selected.any()
 
+    # hierarchical limits: huge strength keeps only the root's group, zero keeps all
+    top = solve_hierarchical_lasso(sys, tree, 1e9, W).selected
+    ok &= top.sum() == 1 and top[tree.node_group[tree.root]]
+    ok &= solve_hierarchical_lasso(sys, tree, 0.0, W).selected.all()
+    report(4, "hypershrinkage: ridge limits, lasso null threshold, hierarchical limits", ok)
+
+
+def test_criterion_4_hierarchical_objective_oracle():
+    cvxpy = pytest.importorskip("cvxpy")
+    sys, W, tree = _criterion_4_problem()
     # 7-node hierarchical problem vs a generic convex solver
-    tree = HierTree(
-        node_group=(0, 1, 3, 4, 2, 5, 6),
-        parent=(None, 0, 1, 1, 0, 4, 4),
-        leaves=(2, 3, 5, 6),
-    )
     lam = 1.5
-    As = A / np.sqrt(W)[None, :]
+    As = sys.A / np.sqrt(W)[None, :]
     us, gexpr = [], 0
     for node in range(7):
         path = [tree.node_group[m] for m in tree.path_to_root(node)]
@@ -246,23 +244,32 @@ def test_criterion_4_hypershrinkage_solvers():
         gexpr = gexpr + M @ u
     prob = cvxpy.Problem(
         cvxpy.Minimize(
-            cvxpy.sum_squares(As @ gexpr - b)
+            cvxpy.sum_squares(As @ gexpr - sys.b)
             + lam * sum(cvxpy.norm(us[m]) for m in range(7) if m != tree.root)
         )
     )
     prob.solve()
     mine = solve_hierarchical_lasso(sys, tree, lam, W)
-    ok &= abs(mine.objective - prob.value) < 1e-6
-    # limits: huge strength keeps only the root's group, zero keeps all
-    top = solve_hierarchical_lasso(sys, tree, 1e9, W).selected
-    ok &= top.sum() == 1 and top[tree.node_group[tree.root]]
-    ok &= solve_hierarchical_lasso(sys, tree, 0.0, W).selected.all()
     report(
         4,
-        "hypershrinkage: ridge limits, lasso null threshold, hierarchical "
-        "objective matches convex-solver oracle to 1e-6",
-        ok,
+        "hypershrinkage: hierarchical objective matches convex-solver oracle to 1e-6",
+        abs(mine.objective - prob.value) < 1e-6,
     )
+
+
+def _criterion_4_problem():
+    rng = np.random.default_rng(4)
+    G = 7
+    A = rng.standard_normal((G, G)) + 2 * np.eye(G)
+    b = rng.standard_normal(G)
+    sys = MomentSystem(A=A, b=b, group_labels=tuple(str(i) for i in range(G)))
+    W = rng.uniform(1.0, 5.0, G)
+    tree = HierTree(
+        node_group=(0, 1, 3, 4, 2, 5, 6),
+        parent=(None, 0, 1, 1, 0, 4, 4),
+        leaves=(2, 3, 5, 6),
+    )
+    return sys, W, tree
 
 
 # ---------------------------------------------------------------------------

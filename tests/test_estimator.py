@@ -17,7 +17,7 @@ from ecpc import ConvergenceError, glm, hypershrinkage
 from ecpc.codata import build_codata_matrix, build_hierarchy_from_continuous
 from ecpc.estimator import TAU_LOCAL_FLOOR
 from ecpc.glm import PenaltyState, estimate_global_variance, fit_weighted_ridge
-from ecpc.hypershrinkage import solve_hierarchical_lasso
+from ecpc.hypershrinkage import HyperPenalty, solve_hierarchical_lasso
 from ecpc.mom import MomentSystem
 
 
@@ -247,6 +247,16 @@ class TestFitEcpc:
         with pytest.raises(DataError, match="hierarchy"):
             fit_ecpc(X, resp, [g], hyper="hierarchical_lasso")
 
+    def test_hyper_takes_kind_names_only(self):
+        # a strength inside a HyperPenalty would be ignored: the tuning sets it
+        X, resp, g = gaussian_data(29)
+        with pytest.raises(DataError, match="forced_hyperlambda"):
+            fit_ecpc(X, resp, [g], hyper=HyperPenalty("ridge", lam=5.0))
+        with pytest.raises(DataError, match="forced_hyperlambda"):
+            fit_ecpc(X, resp, [g, g], hyper=["ridge", HyperPenalty("lasso")])
+        with pytest.raises(DataError, match="unknown hyperpenalty kind 'group_lasso'"):
+            fit_ecpc(X, resp, [g], hyper="group_lasso")
+
     def test_hierarchical_lasso_with_missing_annotations(self):
         rng = np.random.default_rng(37)
         n, p = 60, 200
@@ -338,6 +348,20 @@ class TestEdgeCases:
         objective = -0.5 * (r @ r * model.sigma2 + n * np.log(2 * np.pi * model.sigma2))
         objective -= 0.5 * beta @ (omega * beta)
         assert np.abs(score).max() <= 1e-5 * (1.0 + abs(objective))
+
+    def test_gaussian_collapse_is_recorded(self):
+        # sigma2 collapses on this draw (tests/test_glm.py, TestGlobalVariance):
+        # the estimate is the bracket's upper end, flagged in the record
+        rng = np.random.default_rng(16)
+        n, p = 40, 120
+        X = rng.standard_normal((n, p))
+        y = X @ rng.normal(0.0, 0.3, p) + rng.standard_normal(n)
+        with pytest.warns(UserWarning, match="global-variance optimum on the grid boundary"):
+            model = fit_ecpc(
+                X, ResponseFamily.gaussian(y), [disjoint_grouping(p, 4)], intercept=True
+            )
+        assert model.diagnostics["global_variance"]["on_grid_boundary"] is True
+        assert model.diagnostics["converged"]
 
     def test_cox_all_censored_zero_beta(self):
         rng, X, g = edge_data(54)

@@ -629,25 +629,58 @@ class TestGlobalVariance:
         gv = estimate_global_variance(X, ResponseFamily.gaussian(np.zeros(20)))
         assert gv.tau_global < 1e-6
 
-    def test_gaussian_intercept_shift_invariance(self):
-        # with an unpenalised intercept the likelihood is that of the error
-        # contrasts, which a shift of y leaves unchanged up to rounding; the
-        # estimates then agree to L-BFGS-B's stopping tolerance where the
-        # optimum is interior (at a sigma2 collapse it stops anywhere on the
-        # likelihood's plateau)
-        rng = np.random.default_rng(18)
+    @staticmethod
+    def intercept_draw(seed, sd):
+        rng = np.random.default_rng(seed)
         n, p = 40, 120
         X = np.hstack([rng.standard_normal((n, p)), np.ones((n, 1))])
-        y = X[:, :p] @ rng.normal(0.0, 0.1, p) + rng.standard_normal(n)
-        mask = np.arange(p + 1) == p
-        gv = estimate_global_variance(X, ResponseFamily.gaussian(y), unpenalized_mask=mask)
-        assert 0.5 < gv.sigma2 < 2.0
-        for c in (3.0, -50.0):
-            shifted = estimate_global_variance(
-                X, ResponseFamily.gaussian(y + c), unpenalized_mask=mask
-            )
-            assert shifted.sigma2 == pytest.approx(gv.sigma2, rel=1e-5)
-            assert shifted.tau_global == pytest.approx(gv.tau_global, rel=1e-5)
+        y = X[:, :p] @ rng.normal(0.0, sd, p) + rng.standard_normal(n)
+        return X, y, np.arange(p + 1) == p
+
+    @staticmethod
+    def estimate(X, y, mask, collapse):
+        if not collapse:
+            return estimate_global_variance(X, ResponseFamily.gaussian(y), unpenalized_mask=mask)
+        with pytest.warns(UserWarning, match="grid boundary"):
+            return estimate_global_variance(X, ResponseFamily.gaussian(y), unpenalized_mask=mask)
+
+    # an interior optimum, and a sigma2 collapse (the profiled likelihood
+    # falls towards kappa -> inf), which the search puts at its bracket's end
+    DRAWS = (((18, 0.1), False), ((16, 0.3), True))
+
+    def test_gaussian_intercept_shift_invariance(self):
+        # with an unpenalised intercept the likelihood is that of the error
+        # contrasts, which a shift of y leaves unchanged up to rounding
+        for draw, collapse in self.DRAWS:
+            X, y, mask = self.intercept_draw(*draw)
+            gv = self.estimate(X, y, mask, collapse)
+            assert gv.on_grid_boundary == collapse
+            assert collapse or 0.5 < gv.sigma2 < 2.0
+            for c in (3.0, -50.0):
+                shifted = self.estimate(X, y + c, mask, collapse)
+                assert shifted.sigma2 == pytest.approx(gv.sigma2, rel=1e-6)
+                assert shifted.tau_global == pytest.approx(gv.tau_global, rel=1e-6)
+
+    def test_gaussian_rescaling_equivariance(self):
+        # X -> cX scales tau2 by 1 / c^2, y -> cy scales both variances by c^2
+        for draw, collapse in self.DRAWS:
+            X, y, mask = self.intercept_draw(*draw)
+            gv = self.estimate(X, y, mask, collapse)
+            wide = self.estimate(10.0 * X, y, mask, collapse)
+            assert wide.sigma2 == pytest.approx(gv.sigma2, rel=1e-6)
+            assert wide.tau_global == pytest.approx(gv.tau_global / 100.0, rel=1e-6)
+            tall = self.estimate(X, 3.0 * y, mask, collapse)
+            assert tall.sigma2 == pytest.approx(9.0 * gv.sigma2, rel=1e-6)
+            assert tall.tau_global == pytest.approx(9.0 * gv.tau_global, rel=1e-6)
+
+    def test_supplied_sigma2_with_zero_response_is_the_lower_end(self):
+        # the bracket's lower end: kappa mean(d) = 1e-8, mean(d) = |X|_F^2 / n
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((20, 10))
+        with pytest.warns(UserWarning, match="grid boundary"):
+            gv = estimate_global_variance(X, ResponseFamily.gaussian(np.zeros(20), sigma2=2.0))
+        assert gv.on_grid_boundary and gv.sigma2 == 2.0
+        assert gv.tau_global == pytest.approx(2.0 * 1e-8 * 20 / np.sum(X**2), rel=1e-9)
 
     def test_fixed_sigma2_respected(self):
         rng = np.random.default_rng(13)
