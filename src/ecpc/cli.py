@@ -325,6 +325,7 @@ def cmd_fit(args) -> int:
         ["grouping", "group", "gamma", "hyperlambda", "w"],
         rows,
     )
+    gv_record = model.diagnostics["global_variance"]
     with open(os.path.join(args.out, "fit.log"), "w") as fh:
         fh.write(
             f"family={model.family} n={X.shape[0]} p={X.shape[1]} "
@@ -332,7 +333,8 @@ def cmd_fit(args) -> int:
             f"converged={model.diagnostics.get('converged')} "
             f"iterations={model.diagnostics.get('iterations')} "
             f"initial_iterations={model.diagnostics.get('initial_iterations')} "
-            f"cv_newton_steps={model.diagnostics['global_variance']['newton_steps']}\n"
+            f"cv_points_fitted={gv_record['n_points_fitted']} "
+            f"cv_newton_steps={gv_record['newton_steps']}\n"
         )
         for name, rec in zip(model.grouping_names, model.diagnostics["moments"]):
             fh.write(f"moments grouping={name} route={rec['route']} rank={rec['rank']}\n")

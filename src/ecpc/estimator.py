@@ -329,6 +329,9 @@ def fit_ecpc(
             "global_variance": {
                 "lambda_star": gv.lambda_star,
                 "on_grid_boundary": gv.on_grid_boundary,
+                "n_points_fitted": (
+                    0 if gv.cv_scores is None else int((~np.isnan(gv.cv_scores)).sum())
+                ),
                 "n_scores_neg_inf": (
                     0 if gv.cv_scores is None else int(np.isneginf(gv.cv_scores).sum())
                 ),

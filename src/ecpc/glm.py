@@ -622,6 +622,9 @@ def _signed_newton(cols, wcols, r, b, pen, ridge, lam1):
     return b
 
 
+STOP_BELOW_BEST = 5  # CV grid points below the best mean: one decade
+
+
 @dataclass
 class GlobalVariance:
     """A global-variance estimate; ``on_grid_boundary``: its search ended on
@@ -631,7 +634,7 @@ class GlobalVariance:
     sigma2: float | None = None
     lambda_star: float | None = None
     grid: np.ndarray | None = None
-    cv_scores: np.ndarray | None = None
+    cv_scores: np.ndarray | None = None  # NaN at points the CV walk did not reach
     newton_steps: int = 0  # of all cross-validation fits, capped ones included
     on_grid_boundary: bool = False
 
@@ -679,11 +682,16 @@ def estimate_global_variance(
     collapse, the lower end no signal.  Binomial/cox: stratified
     k-fold cross-validation over a log-spaced grid of total penalty levels,
     maximising the mean held-out log-likelihood; ``tau2 = 1 / lambda_star``.
-    Each fold fits its penalties from the largest down, each fit warm-started
-    from the previous one (see :func:`_fold_path_scores`).  The first fit
-    that fails to converge, or meets a singular system, scores -inf, and so
-    does every smaller penalty of that fold without being fitted.  Either
-    search warns when it ends on the boundary of its grid.
+    The walk goes down the grid from the largest penalty and, at each one,
+    advances every fold's warm-started path by one fit (see
+    :class:`_FoldPath`).  Of equal means the smaller penalty is the best.
+    The walk stops :data:`STOP_BELOW_BEST` points (one decade) below the
+    best mean so far once that best lies above the mean at the largest
+    penalty, or at the first point whose mean is -inf: a fit that fails to
+    converge, or meets a singular system, scores -inf.  ``cv_scores`` is
+    NaN at the points the walk did not reach.  If no point has a finite
+    mean, it raises :class:`ConvergenceError`.  Either search warns when it
+    ends on the boundary of its grid.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -736,29 +744,37 @@ def estimate_global_variance(
     fold_ids = np.unique(folds)
     if len(fold_ids) < 2:
         raise DataError("cross-validation needs at least 2 folds")
-    scores = np.zeros((len(grid), len(fold_ids)))
-    steps = 0
     Xp = X[:, ~mask]
     K = Xp @ Xp.T  # the Gram of the penalised columns, shared by every fold
     X_unpen = X[:, mask]
-    for fi, f in enumerate(fold_ids):
+    paths = []
+    for f in fold_ids:
         test = folds == f
         train = ~test
         if resp.family == "binomial" and len(np.unique(resp.y[train])) < 2:
             raise DataError(f"fold {f} leaves a single class in the training split")
+        path = _FoldPath(K, X_unpen, train, resp.subset(train), resp.subset(test))
+        paths.append((path, train.sum()))
+    mean_scores = np.full(len(grid), np.nan)
+    best = len(grid) - 1
+    for k in range(len(grid) - 1, -1, -1):
         # scale the total penalty by the fold's sample fraction so the
         # per-observation regularisation matches the full-data level
-        scores[:, fi], fold_steps = _fold_path_scores(
-            K,
-            X_unpen,
-            train,
-            resp.subset(train),
-            resp.subset(test),
-            grid * train.sum() / n,
+        fold_scores = np.array([path.score(grid[k] * m / n) for path, m in paths])
+        mean_scores[k] = fold_scores.mean()
+        if mean_scores[k] >= mean_scores[best]:
+            best = k
+        # a mean that has only fallen from the largest penalty, the null
+        # end, has not turned yet: it may rise further down
+        turned = mean_scores[best] > mean_scores[-1]
+        if np.isneginf(mean_scores[k]) or (turned and best - k == STOP_BELOW_BEST):
+            break
+    if not np.isfinite(mean_scores[best]):
+        failed = fold_ids[np.isneginf(fold_scores)]
+        raise ConvergenceError(
+            f"global-variance cross-validation: fold {failed[0]} failed at the "
+            f"largest penalty {grid[-1]:g}, so no penalty has a finite mean score"
         )
-        steps += fold_steps
-    mean_scores = scores.mean(axis=1)
-    best = int(np.argmax(mean_scores))
     lam_star = float(grid[best])
     gv = GlobalVariance(
         tau_global=1.0 / lam_star,
@@ -766,7 +782,7 @@ def estimate_global_variance(
         lambda_star=lam_star,
         grid=grid,
         cv_scores=mean_scores,
-        newton_steps=steps,
+        newton_steps=sum(path.steps for path, _ in paths),
         on_grid_boundary=best in (0, len(grid) - 1),
     )
     return _flag_boundary(gv)
@@ -779,8 +795,9 @@ def _flag_boundary(gv: GlobalVariance) -> GlobalVariance:
     return gv
 
 
-def _fold_path_scores(K, X_unpen, train, resp_tr, resp_te, penalties):
-    """Held-out log-likelihood of uniform-penalty ridge fits on one fold.
+class _FoldPath:
+    """One fold's warm-started path of uniform-penalty ridge fits, scored by
+    the held-out log-likelihood.
 
     ``K = X_P X_P'`` is the Gram of the penalised columns of all n samples,
     ``X_unpen`` the unpenalised columns and ``train`` the fold's training
@@ -800,34 +817,37 @@ def _fold_path_scores(K, X_unpen, train, resp_tr, resp_te, penalties):
     eigenvalue is rounding rather than a direction of ``X_P[tr]`` (the zero
     eigenvalues of rank-deficient blocks come out below ``4 eps d_max``),
     and a direction that small moves the fitted predictor by about
-    ``m eps d_max`` over the penalty.  The penalties are fitted from the
-    largest down, each warm-started from the one before; the first failure
-    scores -inf, and so do all smaller penalties, which are not fitted.
-    Returns the scores and the Newton steps of all fits; a fit stopped by
-    the iteration cap counts its steps, one stopped by a singular system
-    none.
+    ``m eps d_max`` over the penalty.  Both designs are built once and
+    kept: at most ``n m`` doubles.  ``steps`` counts the Newton steps
+    of all fits; a fit stopped by the iteration cap counts its steps, one
+    stopped by a singular system none.
     """
-    test = ~train
-    d2, U = np.linalg.eigh(K[np.ix_(train, train)])
-    keep = d2 > len(d2) * np.finfo(float).eps * d2[-1]
-    U, d = U[:, keep], np.sqrt(d2[keep])
-    Z_tr = np.hstack([U * d, X_unpen[train]])
-    Z_te = np.hstack([K[np.ix_(test, train)] @ (U / d), X_unpen[test]])
-    mask = np.arange(Z_tr.shape[1]) >= len(d)
-    ones = np.ones(len(mask))
-    scores = np.full(len(penalties), -np.inf)
-    beta = None
-    steps = 0
-    for k in np.argsort(-penalties, kind="stable"):
-        state = PenaltyState(1.0 / penalties[k], ones, mask)
+
+    def __init__(self, K, X_unpen, train, resp_tr, resp_te):
+        test = ~train
+        d2, U = np.linalg.eigh(K[np.ix_(train, train)])
+        keep = d2 > len(d2) * np.finfo(float).eps * d2[-1]
+        U, d = U[:, keep], np.sqrt(d2[keep])
+        self.Z_tr = np.hstack([U * d, X_unpen[train]])
+        self.Z_te = np.hstack([K[np.ix_(test, train)] @ (U / d), X_unpen[test]])
+        self.mask = np.arange(self.Z_tr.shape[1]) >= len(d)
+        self.resp_tr, self.resp_te = resp_tr, resp_te
+        self.beta = None
+        self.steps = 0
+
+    def score(self, penalty) -> float:
+        """Fit at ``penalty``, warm-started from the last successful fit, and
+        return its held-out log-likelihood; -inf if the fit fails to
+        converge or meets a singular system.  Call with decreasing
+        penalties."""
+        state = PenaltyState.uniform(1.0 / penalty, len(self.mask), self.mask)
         try:
-            fit = fit_weighted_ridge(Z_tr, resp_tr, state, beta0=beta)
+            fit = fit_weighted_ridge(self.Z_tr, self.resp_tr, state, beta0=self.beta)
         except ConvergenceError as err:
-            steps += err.last_iterate.iterations
-            break
+            self.steps += err.last_iterate.iterations
+            return -np.inf
         except SingularSystemError:
-            break
-        steps += fit.iterations
-        beta = fit.beta
-        scores[k] = family_loglik(resp_te, Z_te @ beta)
-    return scores, steps
+            return -np.inf
+        self.steps += fit.iterations
+        self.beta = fit.beta
+        return family_loglik(self.resp_te, self.Z_te @ fit.beta)

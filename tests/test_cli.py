@@ -147,7 +147,7 @@ class TestFitCommand:
         assert f"iterations={diag['iterations']} " in log
         assert f"initial_iterations={diag['initial_iterations']} " in log
         assert diag["global_variance"]["newton_steps"] == 0  # gaussian: no CV fits
-        assert "cv_newton_steps=0\n" in log
+        assert "cv_points_fitted=0 cv_newton_steps=0\n" in log
         assert diag["moments"] == [{"route": "direct", "rank": X.shape[0]}]
         name = doc["grouping_names"][0]
         assert f"moments grouping={name} route=direct rank={X.shape[0]}\n" in log
@@ -168,11 +168,14 @@ class TestFitCommand:
             ]
         )
         assert rc == 0
-        steps = json.loads((out / "model.json").read_text())["diagnostics"][
+        record = json.loads((out / "model.json").read_text())["diagnostics"][
             "global_variance"
-        ]["newton_steps"]
-        assert 250 <= steps <= 30 * 250  # 5 folds x 50 penalties, each fit 1-30 steps
-        assert f"cv_newton_steps={steps}\n" in (out / "fit.log").read_text()
+        ]
+        fits = 5 * record["n_points_fitted"]  # 5 folds
+        steps = record["newton_steps"]
+        assert 0 < fits and fits <= steps <= 30 * fits  # each fit 1-30 steps
+        log = (out / "fit.log").read_text()
+        assert f"cv_points_fitted={record['n_points_fitted']} cv_newton_steps={steps}\n" in log
 
     def test_fit_with_selection(self, tmp_path):
         xp, yp, cp, X, beta, names = make_dataset(tmp_path, seed=3)

@@ -450,6 +450,7 @@ class TestSerialization:
         assert back.diagnostics["global_variance"] == {
             "lambda_star": None,
             "on_grid_boundary": False,
+            "n_points_fitted": 0,
             "n_scores_neg_inf": 0,
             "newton_steps": 0,
         }
@@ -482,7 +483,9 @@ class TestSerialization:
         assert np.isclose(record["lambda_star"], 1.0 / model.tau_global)
         assert isinstance(record["on_grid_boundary"], bool)
         assert isinstance(record["n_scores_neg_inf"], int)
-        assert len(cv_steps) == 500 and record["newton_steps"] == sum(cv_steps)
+        assert 0 < record["n_points_fitted"] <= 50
+        assert len(cv_steps) == 10 * record["n_points_fitted"]  # 10 folds
+        assert record["newton_steps"] == sum(cv_steps)
         assert model.diagnostics["initial_iterations"] >= 1
         assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}]
         assert back.diagnostics == model.diagnostics

@@ -1,8 +1,9 @@
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, logit
@@ -20,7 +21,8 @@ from ecpc import (
 )
 from ecpc import glm
 from ecpc.glm import (
-    _fold_path_scores,
+    STOP_BELOW_BEST,
+    _FoldPath,
     family_loglik,
     family_terms,
     information_factor,
@@ -751,14 +753,13 @@ class TestGlobalVarianceCV:
         train = ~test
         resp_tr, resp_te = resp.subset(train), resp.subset(test)
         Xp = X[:, ~mask]
-        (score,), steps = _fold_path_scores(
-            Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te, np.array([lam])
-        )
+        path = _FoldPath(Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te)
+        score = path.score(lam)
         state = PenaltyState.uniform(1.0 / lam, X.shape[1], mask)
         fit = fit_weighted_ridge(X[train], resp_tr, state)
         ref = family_loglik(resp_te, X[test] @ fit.beta)
         assert abs(score - ref) <= 1e-8
-        assert 1 <= steps <= 30
+        assert 1 <= path.steps <= 30
 
     @given(
         st.sampled_from(["binomial", "cox"]),
@@ -795,9 +796,7 @@ class TestGlobalVarianceCV:
         Xp = X[:, ~mask]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(glm, "fit_weighted_ridge", polished)
-            (score,), _ = _fold_path_scores(
-                Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te, np.array([lam])
-            )
+            score = _FoldPath(Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te).score(lam)
         state = PenaltyState.uniform(1.0 / lam, X.shape[1], mask)
         ref = family_loglik(resp_te, X[test] @ polished(X[train], resp_tr, state).beta)
         assert abs(score - ref) <= 1e-10
@@ -829,7 +828,8 @@ class TestGlobalVarianceCV:
 
     def test_no_fit_below_the_first_failure(self, monkeypatch):
         # exact Newton fits converge at every penalty of the grid, so a
-        # failure is injected below the penalty 0.1
+        # failure is injected below the penalty 100, which the walk reaches
+        # while the mean still rises (it peaks near 40)
         X, resp, mask = cv_problem("cox", 18, 40, 100, unpenalized=0)
         calls = []
         fit = glm.fit_weighted_ridge
@@ -837,26 +837,91 @@ class TestGlobalVarianceCV:
         def failing(Xs, resp_tr, state, **kwargs):
             penalty = 1.0 / state.tau_global
             out = fit(Xs, resp_tr, state, **kwargs)
-            calls.append((penalty, penalty >= 0.1, out.iterations))
-            if penalty < 0.1:
+            calls.append((penalty, out.iterations))
+            if penalty < 100:
                 raise ConvergenceError("injected", last_iterate=out)
             return out
 
         monkeypatch.setattr(glm, "fit_weighted_ridge", failing)
         gv = estimate_global_variance(X, resp, n_folds=4, seed=0)
-        assert gv.newton_steps == sum(steps for *_, steps in calls)
-        # a fold's path starts at its largest penalty and only descends
-        starts = [0] + [i for i in range(1, len(calls)) if calls[i][0] > calls[i - 1][0]]
-        assert len(starts) == 4
-        for a, b in zip(starts, starts[1:] + [len(calls)]):
-            fold = calls[a:b]
-            assert all(ok for _, ok, _ in fold[:-1])
-            assert not fold[-1][1]
-            assert len(fold) < len(gv.grid)
-        failed = np.isneginf(gv.cv_scores)
-        k = int(failed.sum())
-        assert 0 < k < len(gv.grid)
-        assert failed[:k].all() and np.isfinite(gv.cv_scores[k:]).all()
+        assert gv.newton_steps == sum(steps for _, steps in calls)
+        # every fold fits each penalty in turn, from the largest down, and
+        # nothing below the first one that fails
+        penalties = [penalty for penalty, _ in calls]
+        assert penalties == sorted(penalties, reverse=True)
+        assert len(calls) % 4 == 0 and sum(pen < 100 for pen in penalties) == 4
+        k = int(np.flatnonzero(np.isneginf(gv.cv_scores))[0])
+        assert np.isnan(gv.cv_scores[:k]).all()
+        assert np.isfinite(gv.cv_scores[k + 1 :]).all()
+        assert len(calls) == 4 * (len(gv.grid) - k)
+
+    @pytest.mark.parametrize("failing_folds", [[0, 1, 2, 3], [2]])
+    def test_no_finite_mean_is_an_error(self, failing_folds, monkeypatch):
+        # a fold that fails at the largest penalty leaves no finite mean:
+        # the CV raises, naming the fold, rather than pick the grid's bottom
+        X, resp, _ = cv_problem("cox", 18, 40, 100, unpenalized=0)
+        folds = stratified_folds(resp, 4, 0)
+        failing_times = [resp.times[folds != f] for f in failing_folds]
+        fit = glm.fit_weighted_ridge
+
+        def failing(Xs, resp_tr, state, **kwargs):
+            if any(np.array_equal(resp_tr.times, t) for t in failing_times):
+                raise SingularSystemError("injected")
+            return fit(Xs, resp_tr, state, **kwargs)
+
+        monkeypatch.setattr(glm, "fit_weighted_ridge", failing)
+        with pytest.raises(ConvergenceError, match=f"fold {failing_folds[0]} failed"):
+            estimate_global_variance(X, resp, n_folds=4, seed=0)
+
+    @given(
+        st.sampled_from(["binomial", "cox"]),
+        st.integers(0, 10_000),
+        st.integers(30, 60),
+        st.sampled_from([10, 40, 120]),
+        st.integers(0, 1),
+        st.integers(3, 5),
+    )
+    @example("cox", 4102, 54, 120, 1, 3)  # the mean falls 13 points, then rises
+    @example("cox", 6839, 49, 10, 0, 4)  # falls 18 points
+    @settings(max_examples=15, deadline=None)
+    def test_walk_matches_the_full_path(self, family, seed, n, p, unpenalized, n_folds):
+        # the reference fits every fold at all penalties of the grid, each
+        # path stopped at its first failure, and takes argmax of the means
+        X, resp, mask = cv_problem(family, seed, n, p, unpenalized)
+        folds = stratified_folds(resp, n_folds, seed)
+        assume(
+            family == "cox"
+            or all(len(np.unique(resp.y[folds != f])) == 2 for f in range(n_folds))
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gv = estimate_global_variance(
+                X, resp, seed=seed, folds=folds, unpenalized_mask=mask
+            )
+        grid = gv.grid
+        Xp = X[:, ~mask]
+        K = Xp @ Xp.T
+        full = np.full((len(grid), n_folds), -np.inf)
+        for f in range(n_folds):
+            train = folds != f
+            path = _FoldPath(K, X[:, mask], train, resp.subset(train), resp.subset(~train))
+            for k in range(len(grid) - 1, -1, -1):
+                full[k, f] = path.score(grid[k] * train.sum() / n)
+                if np.isneginf(full[k, f]):
+                    break
+        ref = full.mean(axis=1)
+        best = int(np.argmax(ref))
+        assert gv.lambda_star == grid[best]
+        assert gv.on_grid_boundary == (best in (0, len(grid) - 1)) == bool(caught)
+        fitted = ~np.isnan(gv.cv_scores)
+        first = int(np.flatnonzero(fitted)[0])
+        assert fitted[first:].all()
+        assert np.array_equal(gv.cv_scores[fitted], ref[fitted])
+        assert (
+            first == best - STOP_BELOW_BEST
+            or np.isneginf(gv.cv_scores[first])
+            or first == 0
+        )
 
 
 def cd_problem(form, seed, n, p):
