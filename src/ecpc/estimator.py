@@ -23,6 +23,7 @@ from .errors import DataError
 from .glm import (
     PenaltyState,
     ResponseFamily,
+    _RowSpace,
     breslow_cumhaz,
     estimate_global_variance,
     fit_weighted_ridge,
@@ -197,9 +198,12 @@ def fit_ecpc(
     state0 = PenaltyState(
         tau_global=tau_global, tau_local=np.ones(p_aug), unpenalized_mask=unpen_mask
     )
-    fit0 = fit_weighted_ridge(X_aug, resp_fit, state0)
+    # one row-space rotation serves the fit and the core; its Gram is step 1's, scaled
+    omega0 = state0.precision_diag
+    rows = _RowSpace.of(X_aug, omega0, None if gv.gram is None else tau_global * gv.gram)
+    fit0 = fit_weighted_ridge(X_aug, resp_fit, state0, rows=rows)
     W = moment_weights(resp_fit, fit0.linear_predictor)
-    core = compute_moment_core(X_aug, W, state0.precision_diag, fit0.beta)
+    core = compute_moment_core(X_aug, W, omega0, fit0.beta, rows=rows)
 
     # step 2: per co-data source, hyperpenalty strength then group weights
     codata_matrices = [build_codata_matrix(g) for g in codata_list]

@@ -8,20 +8,21 @@ code.  Its Newton steps use the exact information: ``X' diag(w) X`` for
 gaussian and binomial, and for cox that less the rank-E risk-set term
 ``G' G`` of the Breslow partial likelihood, so Cox fits converge
 quadratically.  Each step's quadratic model is one set of rows with signed
-weights, ``[X; G]`` at ``[w; -1]``.  All linear solves go through a dual
-form on those rows when more columns are penalised than rows are passed,
-so high-dimensional fits never build p x p matrices.
+weights, ``[X; G]`` at ``[w; -1]``, solved by one dense Cholesky
+(:func:`solve_penalized_system`).  A ridge fit with more penalised columns
+than rows runs in the row space of its penalised block (:class:`_RowSpace`),
+on at most ``rank + #unpenalised`` coordinates, so high-dimensional fits
+never build p x p matrices.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
@@ -176,39 +177,30 @@ def solve_penalized_system(X, weights, omega_diag, rhs):
 
     Weights may be negative, as for the rows of a subtracted low-rank term
     (the cox risk-set rows of :func:`information_factor`), as long as the
-    matrix stays positive definite.  Uses a dense p x p Cholesky, one LAPACK
-    ``dpotrf`` and one ``dpotrs`` call, when at most as many columns are
-    penalised as rows are passed, otherwise the dual form of
-    :func:`_solve_dual` (with a Schur complement for unpenalised
-    coordinates, whose omega is 0).  The factorisations skip scipy's
-    finiteness scan of each operand; a test of the weights, the penalties
-    and the solution (and of a matrix that fails to factor) raises its
-    ``ValueError`` instead.
+    matrix stays positive definite.  One dense p x p Cholesky: one LAPACK
+    ``dpotrf`` and one ``dpotrs`` call.  They skip scipy's finiteness scan of
+    each operand; a test of the weights, the penalties and the solution (and
+    of a matrix that fails to factor) raises its ``ValueError`` instead.
     """
     X = np.asarray(X, dtype=float)
-    n = len(X)
     w = np.asarray(weights, dtype=float)
-    if w.ndim == 0:
-        w = np.full(n, w)
     omega = np.asarray(omega_diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    single = rhs.ndim == 1
-    B = rhs[:, None] if single else rhs
     _check_finite(w)  # an infinite weight can give a finite solution
     _check_finite(omega)
-
-    if np.count_nonzero(omega > 0) <= n:
-        # M is symmetric up to rounding; its transpose is a Fortran view whose
-        # lower triangle is M's upper one, the triangle cho_factor(M) reads
+    if not omega.size:  # no unknowns: the row space of an all-zero block
+        return rhs.copy()
+    # M is symmetric up to rounding; its transpose is a Fortran view whose
+    # lower triangle is M's upper one, the triangle cho_factor(M) reads
+    M = _primal_matrix(X, w, omega)
+    c, info = dpotrf(M.T, lower=True, clean=False, overwrite_a=True)
+    if info > 0:  # M was overwritten: rebuild it for the error
         M = _primal_matrix(X, w, omega)
-        c, info = dpotrf(M.T, lower=True, clean=False, overwrite_a=True)
-        if info > 0:  # M was overwritten: rebuild it for the error
-            raise _singular("penalised system singular", _primal_matrix(X, w, omega))
-        Z, _ = dpotrs(c, B, lower=True)
-    else:
-        Z = _solve_dual(X, w, omega, B)
+        _check_finite(M)  # not singular but NaN or infinite: the scan's error
+        raise SingularSystemError(f"penalised system singular (cond={np.linalg.cond(M):.3e})")
+    Z, _ = dpotrs(c, rhs, lower=True)
     _check_finite(Z)
-    return Z[:, 0] if single else Z
+    return Z
 
 
 def _primal_matrix(X, w, omega):
@@ -222,71 +214,6 @@ def _check_finite(a):
     """Raise the ``ValueError`` of scipy's finiteness scan unless ``a`` is finite."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-
-
-def _singular(what, M):
-    """The error for a matrix ``M`` that failed to factor."""
-    _check_finite(M)  # not singular but NaN or infinite: the scan's error
-    return SingularSystemError(f"{what} (cond={np.linalg.cond(M):.3e})")
-
-
-def _solve_dual(X, w, omega, B):
-    """The dual form of :func:`solve_penalized_system` for a 2-D ``B``.
-
-    With ``S = |W|^{1/2} X_P Omega_P^{-1/2}`` and ``D`` the sign of each
-    weight (+1 at zero), Woodbury gives ``M_PP^{-1} = Omega_P^{-1/2}
-    (I - S' K^{-1} S) Omega_P^{-1/2}`` with the n x n kernel
-    ``K = D + S S'``, factored once: by Cholesky, or by LU when a weight is
-    negative and ``K`` is indefinite.  With ``T_U = |W|^{1/2} X_U``, the
-    unpenalised block's Schur complement is ``T_U' K^{-1} T_U`` (Woodbury),
-    free of the cancellation of ``M_UU - M_UP M_PP^{-1} M_PU`` at large
-    weights.  A negative weight also gets one step of iterative refinement,
-    which applies the same factors to the residual: at small penalties the
-    indefinite form alone loses accuracy (up to 1e-5 relative at penalty
-    1e-4 on small cox problems), refined it does not.
-    """
-    pen = omega > 0
-    unp = ~pen
-    sq = np.sqrt(np.where(pen, omega, 1.0))[:, None]  # 1 at unpenalised columns
-    sign = np.where(w < 0, -1.0, 1.0)
-    indefinite = sign.min() < 0
-    sw = np.sqrt(np.abs(w))
-    # |W|^{1/2} X_P Omega_P^{-1/2}, zero at X_U; column-major, as X[:, pen] is
-    S = np.multiply(X, sw[:, None], order="F")
-    S /= sq.T
-    S[:, unp] = 0.0
-    K = S @ S.T
-    K.flat[:: len(K) + 1] += sign
-    factor, solve = (lu_factor, lu_solve) if indefinite else (cho_factor, cho_solve)
-    try:
-        fK = factor(K, check_finite=False)
-        if indefinite and not fK[0].diagonal().all():  # an exactly singular LU
-            raise np.linalg.LinAlgError
-    except (np.linalg.LinAlgError, LinAlgWarning):  # the LU's warning, if made an error
-        raise _singular("dual kernel singular", K)
-    if unp.any():
-        T = sw[:, None] * X[:, unp]
-        V = solve(fK, T, check_finite=False)
-        schur = T.T @ V
-        try:
-            cS = cho_factor(schur, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise _singular("unpenalised block not identifiable", schur)
-
-    def apply(B):  # M^{-1} B: s = K^{-1} S Omega_P^{-1/2} B_P, plus V Z_U
-        Z = B / sq
-        s = solve(fK, S @ Z, check_finite=False)
-        if unp.any():
-            Z[unp] = cho_solve(cS, B[unp] - T.T @ s, check_finite=False)
-            s += V @ Z[unp]
-        Z -= S.T @ s
-        Z /= sq
-        return Z
-
-    Z = apply(B)
-    if indefinite:
-        Z += apply(B - (X.T @ (w[:, None] * (X @ Z)) + omega[:, None] * Z))
-    return Z
 
 
 def family_terms(resp: ResponseFamily, lp):
@@ -395,6 +322,8 @@ def fit_weighted_ridge(
     max_iter: int = 100,
     beta0=None,
     lam1: float = 0.0,
+    *,
+    rows: "_RowSpace | None" = None,
 ) -> RidgeFit:
     """Maximise ``loglik(beta) - 0.5 beta' Omega beta - lam1 sum_pen |beta_j|``.
 
@@ -414,8 +343,10 @@ def fit_weighted_ridge(
     below ``1e-8`` while ``max|g| < 1e-5 (1 + |obj|)``; a small objective
     change alone never stops it.  A gaussian objective is its own quadratic
     model, so one step solves it up to the accuracy of the linear solve.
-    Raises :class:`ConvergenceError` (carrying the last iterate) if the
-    iteration limit is hit.
+    A ridge fit with more penalised columns than rows runs on the
+    :class:`_RowSpace` coordinates (``rows``, if shared by the caller),
+    ``beta0`` projected on them, and stops on the caller's score.  Raises
+    :class:`ConvergenceError` (carrying the last iterate) at the cap.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -427,6 +358,12 @@ def fit_weighted_ridge(
     if resp.family == "gaussian" and resp.sigma2 is None:
         raise DataError("gaussian fit requires sigma2 (estimate it first)")
     omega = pen.precision_diag
+    # L1 fits stay in these coordinates: the L1 norm is not rotation invariant
+    rows = None if lam1 else rows or _RowSpace.of(X, omega)
+    if rows is not None:
+        if beta0 is not None:
+            beta0 = rows.coords(np.asarray(beta0, dtype=float))
+        X, omega, unpen = rows.Z, rows.omega, rows.omega == 0
     l1 = np.where(unpen, 0.0, lam1)
     # the quadratic model's rows: X, and for cox below it the rows of G, which
     # each step writes in place; cox works on the samples in risk order
@@ -436,7 +373,7 @@ def fit_weighted_ridge(
         order, ends, _, events = resp._risk_sets
         ev = events > 0
         ends, events = ends[ev], events[ev]
-        Xq = np.empty((n + len(ends), p))
+        Xq = np.empty((n + len(ends), X.shape[1]))
         X = np.take(X, order, axis=0, out=Xq[:n])
         resp = resp.subset(order)
         wq = np.full(len(Xq), -1.0)
@@ -449,7 +386,7 @@ def fit_weighted_ridge(
             obj -= float(l1 @ np.abs(b))
         return lp, resid, w, obj
 
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
+    beta = np.zeros(X.shape[1]) if beta0 is None else np.array(beta0, dtype=float)
     lp, resid, w, obj = terms_at(beta)
     grad = X.T @ resid - omega * beta
     converged = False
@@ -479,7 +416,7 @@ def fit_weighted_ridge(
         beta = trial
         lp, resid, w, obj = terms
         grad = X.T @ resid - omega * beta
-        sub = grad
+        sub = grad if rows is None else rows.score(grad)
         if lam1:
             sub = np.where(
                 beta != 0,
@@ -502,7 +439,7 @@ def fit_weighted_ridge(
         lp[order] = lp_sorted
     separation = resp.family == "binomial" and bool(np.max(np.abs(lp)) > 20.0)
     fit = RidgeFit(
-        beta=beta,
+        beta=beta if rows is None else rows.beta(beta),
         linear_predictor=lp,
         converged=converged,
         iterations=it,
@@ -637,6 +574,7 @@ class GlobalVariance:
     cv_scores: np.ndarray | None = None  # NaN at points the CV walk did not reach
     newton_steps: int = 0  # of all cross-validation fits, capped ones included
     on_grid_boundary: bool = False
+    gram: np.ndarray | None = field(default=None, repr=False)  # X_P X_P', if formed
 
 
 def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarray:
@@ -711,7 +649,8 @@ def estimate_global_variance(
         if mask.any():
             N = np.linalg.qr(X[:, mask], mode="complete")[0][:, mask.sum() :]
             y, Xp = N.T @ y, N.T @ Xp
-        d, Q = np.linalg.eigh(Xp @ Xp.T)
+        gram = Xp @ Xp.T
+        d, Q = np.linalg.eigh(gram)
         d = np.clip(d, 0.0, None)
         if d.max() <= 0:
             raise DataError("degenerate X: zero spectrum")
@@ -734,7 +673,8 @@ def estimate_global_variance(
             ).x
         kappa = math.exp(log_kappa)
         s2 = resp.sigma2 or float(np.mean(u2 / (1.0 + kappa * d)))
-        gv = GlobalVariance(kappa * s2, s2, on_grid_boundary=best in (0, len(grid) - 1))
+        gram = None if mask.any() else gram  # with unpenalised columns: the contrasts'
+        gv = GlobalVariance(kappa * s2, s2, on_grid_boundary=best in (0, len(grid) - 1), gram=gram)
         return _flag_boundary(gv)
 
     grid = np.logspace(-4, 6, 50)
@@ -784,6 +724,7 @@ def estimate_global_variance(
         cv_scores=mean_scores,
         newton_steps=sum(path.steps for path, _ in paths),
         on_grid_boundary=best in (0, len(grid) - 1),
+        gram=K,
     )
     return _flag_boundary(gv)
 
@@ -795,42 +736,86 @@ def _flag_boundary(gv: GlobalVariance) -> GlobalVariance:
     return gv
 
 
+class _RowSpace:
+    """Coordinates of the row space of a ridge fit's penalised block.
+
+    A ridge fit of ``X`` under a diagonal penalty ``Omega`` lies in the row
+    space of ``X~_P = X_P Omega_P^{-1/2}`` (Hastie & Tibshirani,
+    Biostatistics 2004).  With its n x n Gram ``X~_P X~_P' = U D^2 U'`` and
+    ``beta_P = Omega_P^{-1} X_P' U D^{-1} alpha`` it is the fit of the
+    design ``Z = [U D | X_U]`` at unit penalty on ``alpha`` and none on
+    ``beta_U``.  With the thin SVD ``X~_P = U D V'`` that map is
+    ``Omega_P^{-1/2} V``, orthogonal, so Newton iterates on ``Z`` equal
+    those on ``X`` up to rounding.  Eigenvalues at or below ``n eps d_max``
+    are rounding, not directions (the Gram's rounding error is about ``eps
+    d_max``), and are dropped.  :meth:`of` adds the maps back to ``X``.
+    """
+
+    def __init__(self, gram, X_unpen):
+        _check_finite(gram)  # a NaN or infinite design: the error of the solves
+        d2, U = np.linalg.eigh(gram)
+        keep = d2 > len(d2) * np.finfo(float).eps * d2[-1]
+        self.U, self.d = U[:, keep], np.sqrt(d2[keep])
+        self.U_by_d = self.U / self.d  # a row's cross Gram times this: its coordinates
+        self.Z = np.hstack([self.U * self.d, X_unpen])
+        self.omega = (np.arange(self.Z.shape[1]) < len(self.d)).astype(float)
+
+    @classmethod
+    def of(cls, X, omega, gram=None):
+        """The coordinates of a ridge fit of ``X`` under the precisions
+        ``omega`` (``gram``: ``X~_P X~_P'``, if known), or None when at most
+        as many columns are penalised as ``X`` has rows."""
+        _check_finite(omega)
+        pen = omega > 0
+        if np.count_nonzero(pen) <= len(X):
+            return None
+        if gram is None:
+            Xt = X * np.sqrt(np.divide(1.0, omega, out=np.zeros_like(omega), where=pen))
+            gram = Xt @ Xt.T
+        rows = cls(gram, X[:, ~pen])
+        rows.X, rows.pen, rows.scale = X, pen, np.where(pen, omega, 1.0)
+        return rows
+
+    def score(self, g):
+        """The caller's score ``X'r - Omega beta`` of the rotated one, ``g``."""
+        s = self.X.T @ (self.U_by_d @ g[: len(self.d)])
+        s[~self.pen] = g[len(self.d) :]
+        return s
+
+    def beta(self, A):
+        """The caller's coefficients of coordinates ``A`` (or of each column
+        of a 2-D ``A``), C-contiguous."""
+        B = self.score(A)
+        np.divide(B.T, self.scale, out=B.T)
+        return B
+
+    def coords(self, beta):
+        """The coordinates of ``beta`` projected on the row space, which keeps
+        ``X_P beta_P``: ``alpha = D^{-1} U' X_P beta_P``."""
+        lp = self.X @ np.where(self.pen, beta, 0.0)
+        return np.concatenate([self.U_by_d.T @ lp, beta[~self.pen]])
+
+
 class _FoldPath:
     """One fold's warm-started path of uniform-penalty ridge fits, scored by
     the held-out log-likelihood.
 
-    ``K = X_P X_P'`` is the Gram of the penalised columns of all n samples,
-    ``X_unpen`` the unpenalised columns and ``train`` the fold's training
-    rows.  With one penalty on every penalised column the fit lies in the
-    row space of the penalised training block, so one eigendecomposition
-    ``K[tr, tr] = U D^2 U'`` gives coordinates of that space (Hastie &
-    Tibshirani, Biostatistics 2004): the fits run on the
-    ``m x (rank + #unpenalised)`` design ``[U D | X_unpen[tr]]`` and are
-    scored on the held-out rows ``[K[te, tr] U D^{-1} | X_unpen[te]]``.
-    With the thin SVD ``X_P[tr] = U D V'`` these are ``X_P[tr] V`` and
-    ``X_P[te] V``: an orthogonal change of coordinates, so the Newton
-    iterates equal those on the full design up to rounding.  (The stopping
-    test reads ``max|score|``, which the rotation changes, so a slowly
-    converging fit may stop a step apart.)  Eigenvalues at or below
-    ``m eps d_max`` are dropped: the Gram's rounding error is about
-    ``eps d_max``, with ``d_max`` the largest eigenvalue, so below that an
-    eigenvalue is rounding rather than a direction of ``X_P[tr]`` (the zero
-    eigenvalues of rank-deficient blocks come out below ``4 eps d_max``),
-    and a direction that small moves the fitted predictor by about
-    ``m eps d_max`` over the penalty.  Both designs are built once and
-    kept: at most ``n m`` doubles.  ``steps`` counts the Newton steps
-    of all fits; a fit stopped by the iteration cap counts its steps, one
-    stopped by a singular system none.
+    From ``K = X_P X_P'`` over all n samples, the unpenalised columns
+    ``X_unpen`` and the training rows, the fits run on the :class:`_RowSpace`
+    design of ``K[tr, tr]`` and are scored on the held-out rows ``[K[te, tr]
+    U D^{-1} | X_unpen[te]]``; both designs are kept, at most ``n m``
+    doubles.  (The stop rule reads these coordinates' score, so a slowly
+    converging fit may stop a step apart from one on the full design.)
+    ``steps`` counts the Newton steps of all fits; a fit stopped by the
+    iteration cap counts its steps, one stopped by a singular system none.
     """
 
     def __init__(self, K, X_unpen, train, resp_tr, resp_te):
         test = ~train
-        d2, U = np.linalg.eigh(K[np.ix_(train, train)])
-        keep = d2 > len(d2) * np.finfo(float).eps * d2[-1]
-        U, d = U[:, keep], np.sqrt(d2[keep])
-        self.Z_tr = np.hstack([U * d, X_unpen[train]])
-        self.Z_te = np.hstack([K[np.ix_(test, train)] @ (U / d), X_unpen[test]])
-        self.mask = np.arange(self.Z_tr.shape[1]) >= len(d)
+        rows = _RowSpace(K[np.ix_(train, train)], X_unpen[train])
+        self.Z_tr = rows.Z
+        self.Z_te = np.hstack([K[np.ix_(test, train)] @ rows.U_by_d, X_unpen[test]])
+        self.mask = rows.omega == 0
         self.resp_tr, self.resp_te = resp_tr, resp_te
         self.beta = None
         self.steps = 0

@@ -46,7 +46,7 @@ from scipy import sparse
 
 from .codata import CoDataMatrix, GroupSplit, Grouping, build_codata_matrix
 from .errors import DataError
-from .glm import solve_penalized_system
+from .glm import _RowSpace, solve_penalized_system
 
 __all__ = [
     "MomentCore",
@@ -211,12 +211,16 @@ def _checked_entries(core: MomentCore, Z: CoDataMatrix) -> np.ndarray:
     return Z.entries
 
 
-def compute_moment_core(X, W, precision_diag, beta_tilde) -> MomentCore:
+def compute_moment_core(X, W, precision_diag, beta_tilde, *, rows=None) -> MomentCore:
     """Build the moment core from the initial ridge fit's ingredients.
 
     ``W`` holds the per-sample information-scale weights and
     ``precision_diag`` the diagonal prior precision used for that fit (zero
-    entries mark unpenalised covariates).
+    entries mark unpenalised covariates).  With more penalised columns than
+    samples ``Y`` lies in the fit's row space (``glm._RowSpace``, ``rows``
+    if the fit shares it): with ``beta = T alpha`` and ``Z = X T``, ``Y = T
+    (Z'WZ + T'Omega T)^{-1} Z'W^{1/2}``, one small solve and one p x n x n
+    product.  ``Y`` is C-contiguous: the member sets gather its rows.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -225,8 +229,13 @@ def compute_moment_core(X, W, precision_diag, beta_tilde) -> MomentCore:
     beta_tilde = np.asarray(beta_tilde, dtype=float)
     if len(omega) != p or len(beta_tilde) != p:
         raise DataError("precision and beta_tilde must have one entry per column of X")
-    R = np.sqrt(w)[:, None] * X
-    Y = solve_penalized_system(X, w, omega, R.T)
+    sw = np.sqrt(w)
+    R = sw[:, None] * X
+    rows = rows or _RowSpace.of(X, omega)
+    if rows is None:
+        Y = np.ascontiguousarray(solve_penalized_system(X, w, omega, R.T))
+    else:  # Z' W^{1/2}: the rotated R'
+        Y = rows.beta(solve_penalized_system(rows.Z, w, rows.omega, (sw[:, None] * rows.Z).T))
     return MomentCore(
         beta_tilde=beta_tilde, v=(Y**2).sum(axis=1), pen_mask=omega > 0, _Y=Y, _R=R
     )

@@ -20,6 +20,7 @@ from .estimator import FittedModel, TAU_LOCAL_FLOOR
 from .glm import (
     PenaltyState,
     ResponseFamily,
+    _RowSpace,
     elastic_net_cd,
     estimate_global_variance,
     family_terms,
@@ -211,9 +212,10 @@ def select_dss(
 def posterior_sds(model: FittedModel, X, resp: ResponseFamily) -> np.ndarray:
     """Marginal posterior standard deviations of the penalised coefficients.
 
-    Uses the thin SVD of the weighted, prior-rescaled design, which gives
-    the exact posterior covariance diagonal for the gaussian family and a
-    curvature-at-the-mode approximation otherwise.
+    With prior precisions ``delta``, ``Xt = W^{1/2} X diag(delta)^{-1/2}``
+    and ``Xt Xt' = U D^2 U'`` (``glm._RowSpace``), the posterior variances
+    are ``(1 - rowsum((Xt'U)^2 / (D^2 + 1))) / delta``: exact for the
+    gaussian family, a curvature-at-the-mode approximation otherwise.
     """
     X = np.asarray(X, dtype=float)
     resp = _with_model_sigma2(resp, model)
@@ -221,9 +223,8 @@ def posterior_sds(model: FittedModel, X, resp: ResponseFamily) -> np.ndarray:
     delta = 1.0 / (model.tau_global * tau_loc)
     w = moment_weights(resp, X @ model.beta + model.intercept)
     Xt = np.sqrt(w)[:, None] * X / np.sqrt(delta)[None, :]
-    _, d, Vt = np.linalg.svd(Xt, full_matrices=False)
-    shrink = d**2 / (d**2 + 1.0)
-    inner = 1.0 - (Vt.T**2 * shrink[None, :]).sum(axis=1)
+    rows = _RowSpace(Xt @ Xt.T, X[:, :0])
+    inner = 1.0 - ((Xt.T @ rows.U) ** 2 / (rows.d**2 + 1.0)).sum(axis=1)
     sd = np.sqrt(np.clip(inner, 0.0, None)) / np.sqrt(delta)
     if (sd <= 0).any():
         raise DataError("degenerate zero posterior standard deviation")

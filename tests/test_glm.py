@@ -15,6 +15,7 @@ from ecpc import (
     ResponseFamily,
     SingularSystemError,
     breslow_cumhaz,
+    compute_moment_core,
     estimate_global_variance,
     fit_weighted_ridge,
     martingale_residuals,
@@ -40,18 +41,28 @@ def rand_problem(seed, n, p):
 
 @contextmanager
 def counted_factorisations():
-    """Record the order of every matrix ``glm`` factors, by Cholesky (scipy's
-    wrapper or LAPACK's ``dpotrf``) or LU."""
+    """Record the order of every matrix ``glm`` factors (by LAPACK's
+    ``dpotrf``, its only factorisation)."""
     factored = []
+    factor = glm.dpotrf
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("cho_factor", "dpotrf", "lu_factor"):
-            factor = getattr(glm, name)
-            mp.setattr(
-                glm,
-                name,
-                lambda M, *a, f=factor, **kw: factored.append(len(M)) or f(M, *a, **kw),
-            )
+        mp.setattr(
+            glm, "dpotrf", lambda M, *a, **kw: factored.append(len(M)) or factor(M, *a, **kw)
+        )
         yield factored
+
+
+def dense_fit(*args, **kwargs):
+    """``fit_weighted_ridge`` on the caller's coordinates: every Newton step
+    one dense p x p solve, whatever the shape (the reference of the
+    row-space fits)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glm._RowSpace, "of", lambda *a, **kw: None)
+        return glm.fit_weighted_ridge(*args, **kwargs)
+
+
+def shape_p(n, shape):
+    return {"p<n": n - 2, "p=n": n, "p=n+1": n + 1, "p=n+2": n + 2}.get(shape, 2 * n + 3)
 
 
 class TestGaussianRidge:
@@ -84,29 +95,29 @@ class TestGaussianRidge:
         st.integers(4, 12),
         st.sampled_from(["p<n", "p=n", "p=n+1", "p=n+2", "p>n"]),
         st.integers(0, 2),
-        st.sampled_from([None, 1, 3]),
-        st.integers(0, 2),
+        st.sampled_from([1e-2, 1.0, 10.0]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_primal_and_dual_paths_agree(self, seed, n, shape, n_unpen, n_rhs, n_zero):
-        # at most n penalised columns take the primal Cholesky, more the dual
-        # kernel with a Schur complement for unpenalised columns; both must
-        # match a dense solve, also with exact-zero weights (single-event cox
-        # moment weights), whose kernel rows are those of the identity
-        p = {"p<n": n - 2, "p=n": n, "p=n+1": n + 1, "p=n+2": n + 2}.get(shape, 2 * n + 3)
+    def test_rotated_fit_matches_dense_solve(self, seed, n, shape, n_unpen, sigma2):
+        # at most n penalised columns fit by a dense p x p Cholesky, more in
+        # the row space of the penalised block: both match a dense solve of
+        # the full p x p system, and the wide fit factors no matrix larger
+        # than n plus the unpenalised columns
+        p = shape_p(n, shape)
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, p))
-        w = rng.uniform(0.5, 2.0, n)
-        w[:n_zero] = 0.0
-        omega = rng.uniform(0.3, 3.0, p)
-        omega[:n_unpen] = 0.0
-        rhs = rng.standard_normal(p if n_rhs is None else (p, n_rhs))
-        with counted_factorisations() as factored:  # primal p or dual n
-            Z = glm.solve_penalized_system(X, w, omega, rhs)
-        assert factored[0] == (p if p - n_unpen <= n else n)
-        ref = np.linalg.solve((X.T * w) @ X + np.diag(omega), rhs)
-        assert Z.shape == ref.shape
-        assert np.abs(Z - ref).max() <= 1e-8 * np.abs(ref).max()
+        y = rng.standard_normal(n)
+        tau_local = rng.uniform(0.3, 3.0, p)
+        mask = np.arange(p) < n_unpen
+        state = PenaltyState(tau_global=1.0, tau_local=tau_local, unpenalized_mask=mask)
+        with counted_factorisations() as factored:
+            fit = fit_weighted_ridge(X, ResponseFamily.gaussian(y, sigma2=sigma2), state)
+        assert max(factored) == (p if p - n_unpen <= n else n + n_unpen)
+        M = X.T @ X / sigma2 + np.diag(state.precision_diag)
+        ref = np.linalg.solve(M, X.T @ y / sigma2)
+        assert fit.iterations == 1
+        assert np.abs(fit.beta - ref).max() <= 1e-8 * np.abs(ref).max()
+        assert np.abs(fit.linear_predictor - X @ ref).max() <= 1e-8 * np.abs(X @ ref).max()
 
     @pytest.mark.parametrize("p,n_unpen", [(4, 0), (20, 0), (20, 1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -126,21 +137,23 @@ class TestGaussianRidge:
 
     def test_unpenalised_column_at_large_weights(self):
         # gaussian weights 1/sigma2 as sigma2 -> 0, where a Schur complement
-        # X_U'WX_U - M_UP M_PP^-1 M_PU formed by subtraction cancels: through
-        # the dual kernel an intercept costs the solve no accuracy
+        # X_U'WX_U - M_UP M_PP^-1 M_PU formed by subtraction cancels: in the
+        # row space an intercept is one more column of the small design and
+        # costs the fit no accuracy
         n, p = 50, 500
 
         def rel_error(seed, s2, unpenalised):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((n, p))
             X[:, 0] = 1.0
-            omega = np.full(p, 10.0)
-            omega[0] = 0.0 if unpenalised else 10.0
-            w = np.full(n, 1.0 / s2)
-            rhs = X.T @ (w * rng.standard_normal(n))
-            Z = glm.solve_penalized_system(X, w, omega, rhs)
-            ref = np.linalg.solve((X.T * w) @ X + np.diag(omega), rhs)
-            return np.abs(Z - ref).max() / np.abs(ref).max()
+            tau_local = np.ones(p)
+            mask = np.arange(p) < unpenalised
+            state = PenaltyState(tau_global=0.1, tau_local=tau_local, unpenalized_mask=mask)
+            y = rng.standard_normal(n)
+            fit = fit_weighted_ridge(X, ResponseFamily.gaussian(y, sigma2=s2), state)
+            M = X.T @ X / s2 + np.diag(state.precision_diag)
+            ref = np.linalg.solve(M, X.T @ y / s2)
+            return np.abs(fit.beta - ref).max() / np.abs(ref).max()
 
         for s2 in (1.0, 1e-3, 1e-6):
             with_column = max(rel_error(seed, s2, True) for seed in range(5))
@@ -181,6 +194,47 @@ def risk_set_rows(resp, lp, X):
     return np.vstack([X, G]), np.r_[w, -np.ones(len(G))]
 
 
+def rotated_step(Xq, wq, omega, X, rhs):
+    """The Newton step of a fit of ``X`` under ``omega`` on the model rows
+    ``Xq`` at weights ``wq``, for a right-hand side ``rhs`` that is a score
+    ``X'r - Omega beta`` at a ``beta`` of the row space, solved as the fit
+    solves it and mapped to the caller's coordinates.  The row-space design
+    ``Z = X T`` and its rows ``Xq T`` come from the map ``T`` of
+    ``glm._RowSpace``."""
+    rows = glm._RowSpace.of(X, omega)
+    if rows is None:
+        return glm.solve_penalized_system(Xq, wq, omega, rhs), None
+    T = rows.beta(np.eye(rows.Z.shape[1]))
+    assert np.abs(X @ T - rows.Z).max() <= 1e-12 * np.abs(rows.Z).max()
+    return T @ glm.solve_penalized_system(Xq @ T, wq, rows.omega, T.T @ rhs), T
+
+
+def cox_step_problem(seed, n, shape, n_unpen, penalty, n_times, n_zero):
+    """Signed rows ``[X; G]`` at ``[w; -1]`` of a cox Newton step plus
+    ``n_zero`` rows at weight exactly 0, a penalty and the score at a
+    ``beta`` of the row space."""
+    p = shape_p(n, shape)
+    if p <= n_unpen:
+        n_unpen = 0
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    if n_times is None:
+        t = rng.exponential(size=n) + 0.01
+    else:
+        t = rng.integers(1, n_times + 1, n).astype(float)
+    resp = ResponseFamily.cox(t, (rng.uniform(size=n) < 0.7).astype(float))
+    lp = rng.standard_normal(n)
+    Xq, wq = risk_set_rows(resp, lp, X)
+    Xq, wq = np.vstack([Xq, rng.standard_normal((n_zero, p))]), np.r_[wq, np.zeros(n_zero)]
+    omega = penalty * rng.uniform(1.0, 3.0, p)
+    omega[:n_unpen] = 0.0
+    # beta = Omega^-1 X'c on the penalised block lies in the row space
+    beta = np.where(omega > 0, X.T @ rng.standard_normal(n), rng.standard_normal(p))
+    beta[omega > 0] /= omega[omega > 0]
+    rhs = X.T @ family_terms(resp, lp)[1] - omega * beta
+    return Xq, wq, omega, X, rhs
+
+
 class TestRiskSetSolve:
     @given(
         st.integers(0, 10_000),
@@ -188,89 +242,136 @@ class TestRiskSetSolve:
         st.sampled_from(["p<n", "p=n", "p=n+1", "p=n+2", "p>n"]),
         st.integers(0, 2),
         st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0]),
-        st.sampled_from([None, 1, 3]),
         st.sampled_from([2, None]),
         st.integers(0, 2),
     )
     @settings(max_examples=80, deadline=None)
-    def test_primal_dual_and_dense_solve_agree(
-        self, seed, n, shape, n_unpen, penalty, n_rhs, n_times, n_zero
+    def test_rotated_step_matches_dense_solve(
+        self, seed, n, shape, n_unpen, penalty, n_times, n_zero
     ):
         # X' diag(w) X - G' G + Omega from a Cox response, as rows [X; G] at
-        # weights [w; -1] plus n_zero rows at weight exactly 0: the primal
-        # Cholesky (at most as many penalised columns as rows) and the
-        # indefinite dual kernel (more) both solve it to a small backward
-        # error and match a dense solve as far as the conditioning allows
-        p = {"p<n": n - 2, "p=n": n, "p=n+1": n + 1, "p=n+2": n + 2}.get(shape, 2 * n + 3)
-        if p <= n_unpen:
-            n_unpen = 0
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, p))
-        if n_times is None:
-            t = rng.exponential(size=n) + 0.01
-        else:
-            t = rng.integers(1, n_times + 1, n).astype(float)
-        resp = ResponseFamily.cox(t, (rng.uniform(size=n) < 0.7).astype(float))
-        lp = rng.standard_normal(n)
-        Xq, wq = risk_set_rows(resp, lp, X)
-        Xq, wq = np.vstack([Xq, rng.standard_normal((n_zero, p))]), np.r_[wq, np.zeros(n_zero)]
-        omega = penalty * rng.uniform(1.0, 3.0, p)
-        omega[:n_unpen] = 0.0
-        rhs = rng.standard_normal(p if n_rhs is None else (p, n_rhs))
-        with counted_factorisations() as factored:
-            Z = glm.solve_penalized_system(Xq, wq, omega, rhs)
-        assert factored[0] == (p if p - n_unpen <= len(Xq) else len(Xq))
+        # weights [w; -1] plus n_zero rows at weight exactly 0: the step a
+        # fit takes (a dense Cholesky, in the row space when more columns
+        # are penalised than X has rows) solves it to a small backward
+        # error and matches a dense solve as far as the conditioning allows
+        Xq, wq, omega, X, rhs = cox_step_problem(
+            seed, n, shape, n_unpen, penalty, n_times, n_zero
+        )
+        Z, T = rotated_step(Xq, wq, omega, X, rhs)
         M = (Xq.T * wq) @ Xq + np.diag(omega)
         ref = np.linalg.solve(M, rhs)
         assert Z.shape == ref.shape
         scale = np.abs(M).max() * np.abs(Z).max() + np.abs(rhs).max()
         assert np.abs(M @ Z - rhs).max() <= 1e-10 * scale
         assert np.abs(Z - ref).max() <= 1e-11 * np.linalg.cond(M) * np.abs(ref).max()
+        assert (T is None) == (np.count_nonzero(omega) <= n)
 
-    def test_dual_refined_at_small_penalty(self):
-        # At penalty 1e-4 the indefinite kernel's Woodbury solve alone is off
-        # by up to 9e-6 relative here, above 1e-9 in 58 of these 60 cases;
-        # refined with the same factors, the worst is 1.2e-10.
+    def test_rotated_step_at_small_penalty(self):
+        # At penalty 1e-4 the signed-row step of a wide cox fit, solved in
+        # the row space, matches the dense solve of the full system
         errors = []
         for seed in range(20):
             for n in (7, 9, 11):
-                rng = np.random.default_rng(seed)
-                X = rng.standard_normal((n, 2 * n + 3))
-                resp = ResponseFamily.cox(
-                    rng.exponential(size=n) + 0.01, (rng.uniform(size=n) < 0.7).astype(float)
-                )
-                lp = rng.standard_normal(n)
-                Xq, wq = risk_set_rows(resp, lp, X)
-                omega = 1e-4 * rng.uniform(1.0, 3.0, X.shape[1])
-                rhs = rng.standard_normal(X.shape[1])
-                Z = glm.solve_penalized_system(Xq, wq, omega, rhs)
+                Xq, wq, omega, X, rhs = cox_step_problem(seed, n, "p>n", 0, 1e-4, None, 0)
+                Z, T = rotated_step(Xq, wq, omega, X, rhs)
+                assert T is not None
                 ref = np.linalg.solve((Xq.T * wq) @ Xq + np.diag(omega), rhs)
                 errors.append(np.abs(Z - ref).max() / np.abs(ref).max())
         assert max(errors) <= 1e-9
 
-    def test_singular_indefinite_kernel_raises(self):
+    def test_singular_system_raises(self):
         # the row at weight -1 cancels the penalty on the first coordinate
         X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(SingularSystemError, match="dual kernel"):
+        with pytest.raises(SingularSystemError, match="penalised system singular"):
             glm.solve_penalized_system(X, [-1.0, 1.0], np.ones(3), np.ones(3))
 
     @pytest.mark.parametrize("n_unpen", [0, 2])
-    def test_dual_factors_the_kernel_once(self, n_unpen):
-        # the refinement step applies the kernel's (and the Schur
-        # complement's) factors to the residual instead of refactoring
+    def test_wide_fit_factors_only_row_space_systems(self, n_unpen):
+        # every Newton step of a wide cox fit factors one system of rank +
+        # #unpenalised columns, and the fit ends where the dense one does
         rng = np.random.default_rng(5)
         n, p = 9, 40
         X = rng.standard_normal((n, p))
         resp = ResponseFamily.cox(rng.exponential(size=n) + 0.01, np.ones(n))
-        Xq, wq = risk_set_rows(resp, rng.standard_normal(n), X)
-        omega = rng.uniform(0.1, 1.0, p)
-        omega[:n_unpen] = 0.0
-        rhs = rng.standard_normal((p, 2))
+        state = PenaltyState(
+            tau_global=1.0,
+            tau_local=rng.uniform(1.0, 10.0, p),
+            unpenalized_mask=np.arange(p) < n_unpen,
+        )
         with counted_factorisations() as factored:
-            Z = glm.solve_penalized_system(Xq, wq, omega, rhs)
-        assert factored == [len(Xq)] + [n_unpen] * (n_unpen > 0)
-        ref = np.linalg.solve((Xq.T * wq) @ Xq + np.diag(omega), rhs)
-        assert np.abs(Z - ref).max() <= 1e-9 * np.abs(ref).max()
+            fit = fit_weighted_ridge(X, resp, state)
+        assert factored == [n + n_unpen] * fit.iterations
+        ref = dense_fit(X, resp, state)
+        assert fit.iterations == ref.iterations
+        assert np.abs(fit.beta - ref.beta).max() <= 1e-9 * np.abs(ref.beta).max()
+
+
+class TestRowSpaceFit:
+    @given(
+        st.sampled_from(["gaussian", "binomial", "cox"]),
+        st.integers(0, 10_000),
+        st.integers(8, 20),
+        st.floats(0.0, 1.0),
+        st.integers(0, 1),
+        st.floats(-2.0, 4.0),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rotated_fit_matches_dense_newton(
+        self, family, seed, n, frac, unpenalized, log_penalty, local
+    ):
+        # the row-space fit (more penalised columns than rows) takes the
+        # steps of the dense p x p Newton loop: the same iterations, since
+        # its stop rule reads the caller's score (a stop on the rotated
+        # score differed in 94 of 1 500 such draws), and the same
+        # coefficients
+        p = n - 2 + round(frac * (2 * n + 2))  # n - 2 to 3n penalised columns
+        X, resp, mask = cv_problem(family, seed, n, p, unpenalized)
+        rng = np.random.default_rng(seed + 1)
+        tau_local = rng.uniform(0.2, 5.0, len(mask)) if local else np.ones(len(mask))
+        state = PenaltyState(10.0**-log_penalty, tau_local, mask)
+        fit = fit_weighted_ridge(X, resp, state)
+        ref = dense_fit(X, resp, state)
+        assert fit.iterations == ref.iterations
+        assert np.abs(fit.beta - ref.beta).max() <= 1e-10 * np.abs(ref.beta).max()
+        assert np.allclose(fit.linear_predictor, X @ fit.beta, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_all_zero_penalised_block(self, family):
+        # a row space of rank 0 leaves no unknowns: beta = 0
+        n, p = 6, 10
+        y = (np.arange(n) > 2).astype(float)
+        resp = ResponseFamily.gaussian(y, 1.0) if family == "gaussian" else ResponseFamily.binomial(y)
+        fit = fit_weighted_ridge(np.zeros((n, p)), resp, PenaltyState.uniform(1.0, p))
+        assert fit.converged and not fit.beta.any()
+
+    @pytest.mark.parametrize("where,bad", [("X", np.nan), ("X", np.inf), ("tau_local", np.nan)])
+    def test_non_finite_input_raises(self, where, bad):
+        # the rotation rejects a NaN or infinite design or a NaN penalty with
+        # the solves' ValueError, rather than fit a column as unpenalised (an
+        # infinite local variance is a zero penalty)
+        rng = np.random.default_rng(6)
+        n, p = 6, 10
+        X, tau_local = rng.standard_normal((n, p)), np.ones(p)
+        (X[2] if where == "X" else tau_local)[3] = bad
+        state = PenaltyState(1.0, tau_local, np.zeros(p, dtype=bool))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_weighted_ridge(X, ResponseFamily.gaussian(rng.standard_normal(n), 1.0), state)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            compute_moment_core(X, np.ones(n), state.precision_diag, np.zeros(p))
+
+    def test_warm_start_is_projected_on_the_row_space(self):
+        # beta0 off the row space enters projected: X beta0 is kept, and
+        # the fit ends where a cold fit does
+        X, resp, mask = cv_problem("binomial", 3, 20, 60, 1)
+        state = PenaltyState.uniform(0.2, len(mask), mask)
+        cold = fit_weighted_ridge(X, resp, state)
+        rng = np.random.default_rng(4)
+        warm = fit_weighted_ridge(X, resp, state, beta0=rng.standard_normal(len(mask)))
+        assert np.abs(warm.beta - cold.beta).max() <= 1e-8 * np.abs(cold.beta).max()
+        rows = glm._RowSpace.of(X, state.precision_diag)
+        beta0 = rng.standard_normal(len(mask))
+        assert np.allclose(rows.Z @ rows.coords(beta0), X @ beta0, rtol=0.0, atol=1e-10)
 
 
 class TestBinomialRidge:
@@ -722,16 +823,19 @@ class TestGlobalVariance:
 
 def cv_problem(family, seed, n, p, unpenalized):
     """``p`` penalised covariates, plus one unpenalised column if asked: an
-    intercept for binomial, a covariate for cox (which has no intercept)."""
+    intercept for gaussian and binomial, a covariate for cox (which has no
+    intercept)."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p + unpenalized))
-    if unpenalized and family == "binomial":
+    if unpenalized and family != "cox":
         X[:, p] = 1.0
     mask = np.zeros(X.shape[1], dtype=bool)
     mask[p:] = True
     lp = X[:, :p] @ rng.normal(0.0, 0.3, p)
     if family == "binomial":
         resp = ResponseFamily.binomial((rng.uniform(size=n) < expit(lp)).astype(float))
+    elif family == "gaussian":
+        resp = ResponseFamily.gaussian(lp + rng.standard_normal(n), sigma2=1.0)
     else:
         resp = ResponseFamily.cox(
             rng.exponential(size=n) / np.exp(lp), (rng.uniform(size=n) < 0.7).astype(float)
@@ -756,7 +860,7 @@ class TestGlobalVarianceCV:
         path = _FoldPath(Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te)
         score = path.score(lam)
         state = PenaltyState.uniform(1.0 / lam, X.shape[1], mask)
-        fit = fit_weighted_ridge(X[train], resp_tr, state)
+        fit = dense_fit(X[train], resp_tr, state)
         ref = family_loglik(resp_te, X[test] @ fit.beta)
         assert abs(score - ref) <= 1e-8
         assert 1 <= path.steps <= 30
@@ -790,7 +894,7 @@ class TestGlobalVarianceCV:
         resp_tr, resp_te = resp.subset(train), resp.subset(test)
         fit = glm.fit_weighted_ridge
 
-        def polished(*args, **kwargs):
+        def polished(*args, fit=fit, **kwargs):
             return fit(*args, **{**kwargs, "beta0": fit(*args, **kwargs).beta})
 
         Xp = X[:, ~mask]
@@ -798,7 +902,8 @@ class TestGlobalVarianceCV:
             mp.setattr(glm, "fit_weighted_ridge", polished)
             score = _FoldPath(Xp @ Xp.T, X[:, mask], train, resp_tr, resp_te).score(lam)
         state = PenaltyState.uniform(1.0 / lam, X.shape[1], mask)
-        ref = family_loglik(resp_te, X[test] @ polished(X[train], resp_tr, state).beta)
+        ref_beta = polished(X[train], resp_tr, state, fit=dense_fit).beta
+        ref = family_loglik(resp_te, X[test] @ ref_beta)
         assert abs(score - ref) <= 1e-10
 
     @pytest.mark.parametrize("family", ["binomial", "cox"])

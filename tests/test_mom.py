@@ -19,7 +19,7 @@ from ecpc import (
     fit_ecpc,
     split_groups_random,
 )
-from ecpc import DataError, estimator, mom
+from ecpc import DataError, estimator, glm, mom
 from ecpc.codata import GroupSplit
 
 
@@ -86,13 +86,18 @@ class TestMomentCore:
     @given(
         st.integers(0, 10_000),
         st.integers(8, 14),
-        st.sampled_from(["p<n", "p=n", "p>n"]),
+        st.sampled_from(["p<n", "p=n", "p=n+1", "p=n+2", "p>n"]),
+        st.integers(0, 2),
         st.integers(0, 2),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_naive_core_over_shapes(self, seed, n, shape, n_unpen):
-        p = {"p<n": n - 2, "p=n": n, "p>n": 2 * n + 3}[shape]
+    def test_matches_naive_core_over_shapes(self, seed, n, shape, n_unpen, n_zero):
+        # a dense p x p solve with at most n penalised columns, the fit's row
+        # space with more; also at exact-zero weights (single-event cox
+        # moment weights)
+        p = {"p<n": n - 2, "p=n": n, "p=n+1": n + 1, "p=n+2": n + 2}.get(shape, 2 * n + 3)
         X, w, omega, beta = rand_instance(seed, n, p, unpen=range(n_unpen))
+        w[:n_zero] = 0.0
         C_ref, v_ref = naive_core(X, w, omega)
         with pytest.MonkeyPatch.context() as mp:
             # several row blocks per pass over C
@@ -101,10 +106,32 @@ class TestMomentCore:
             blocks = list(core.iter_row_blocks())
         assert len(blocks) > 1
         pen = core.pen_idx
+        Y_ref = np.linalg.solve((X.T * w) @ X + np.diag(omega), X.T * np.sqrt(w))
+        assert np.abs(core._Y - Y_ref).max() <= 1e-8 * np.abs(Y_ref).max()
         assert np.abs(core.C - C_ref).max() <= 1e-8
         assert np.abs(core.v - v_ref).max() <= 1e-8
         C_pp = np.vstack([rows for _, rows in blocks])
         assert np.abs(C_pp - C_ref[np.ix_(pen, pen)]).max() <= 1e-8
+
+    @pytest.mark.parametrize("n,p,unpen", [(10, 6, ()), (10, 10, (0,)), (6, 40, ()), (6, 40, (0, 3))])
+    def test_factor_is_c_contiguous(self, n, p, unpen):
+        # the member-set Grams gather rows of Y
+        X, w, omega, beta = rand_instance(4, n, p, unpen)
+        assert compute_moment_core(X, w, omega, beta)._Y.flags.c_contiguous
+
+    @pytest.mark.parametrize("n,p", [(6, 4), (6, 10)])
+    def test_all_zero_design(self, n, p):
+        # no data: C = 0 and v = 0, also through a row space of rank 0
+        core = compute_moment_core(np.zeros((n, p)), np.ones(n), np.ones(p), np.zeros(p))
+        assert not core._Y.any() and not core.v.any()
+
+    def test_shared_rotation_gives_the_same_core(self):
+        # the rotation of the initial fit, passed in, is the one built here
+        X, w, omega, beta = rand_instance(5, 8, 30, unpen=(2,))
+        rows = glm._RowSpace.of(X, omega)
+        shared = compute_moment_core(X, w, omega, beta, rows=rows)
+        own = compute_moment_core(X, w, omega, beta)
+        assert np.array_equal(shared._Y, own._Y) and np.array_equal(shared.v, own.v)
 
     def test_no_quadratic_allocation(self):
         # the core keeps n x p factors; a p x p matrix would be 200 n p floats,

@@ -121,6 +121,29 @@ class TestSelectDSS:
         assert objective(raw.beta) <= objective(np.asarray(g.value)) + 1e-8
         assert abs(objective(raw.beta) - objective(np.asarray(g.value))) < 1e-4
 
+    @pytest.mark.parametrize("seed,n,p,G", [(9, 50, 20, 2), (16, 30, 60, 4)])
+    @pytest.mark.parametrize("frac", [1e-3, 1e-2, 0.1, 0.5])
+    def test_kkt_conditions(self, seed, n, p, G, frac):
+        # the offline twin of the cvxpy oracle: with g_j = |beta_hat_j| u_j
+        # the adaptive lasso is a lasso in u at strength lam / 2, whose
+        # sub-gradient conditions the solution meets (as
+        # test_glm.py::TestElasticNetCD::test_kkt_conditions checks them for
+        # the kernel); coordinates with a zero dense coefficient stay zero
+        X, resp, model, _ = sparse_gaussian(seed, n=n, p=p, G=G)
+        fitted = X @ model.beta
+        scale = np.abs(model.beta)
+        active = scale > 0
+        lam_max = 2 * np.abs((X * scale).T @ fitted).max() / n
+        lam = frac * lam_max
+        gamma = select_dss(model, X, lam).beta
+        assert (gamma[~active] == 0).all()
+        g = (X[:, active] * scale[active]).T @ (fitted - X @ gamma) / n
+        tol = 1e-8 * (1.0 + np.abs(g).max())
+        u = gamma[active] / scale[active]
+        assert (np.abs(g[u == 0]) <= lam / 2 + tol).all()
+        assert np.allclose(g[u != 0], lam / 2 * np.sign(u[u != 0]), rtol=0.0, atol=tol)
+        assert 0 < np.count_nonzero(u) < active.sum() or frac >= 0.5
+
     def test_sparsity_increases_with_strength(self):
         X, resp, model, _ = sparse_gaussian(10)
         sizes = [
@@ -152,6 +175,33 @@ class TestPosteriorSds:
         prec = 1.0 / (model.tau_global * np.maximum(model.tau_local, 1e-6))
         Sigma = np.linalg.inv(X.T @ (w[:, None] * X) + np.diag(prec))
         assert np.abs(sd - np.sqrt(np.diag(Sigma))).max() < 1e-8
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("n,p", [(40, 25), (30, 30), (20, 70)])
+    def test_matches_svd_formula(self, family, n, p):
+        # the n x n Gram's eigendecomposition gives the standard deviations
+        # of the thin SVD of the weighted, prior-rescaled design
+        # Xt = U D V': 1 - rowsum(V^2 D^2 / (D^2 + 1)), over delta
+        rng = np.random.default_rng(n + p)
+        X = rng.standard_normal((n, p))
+        if family == "gaussian":
+            resp = ResponseFamily.gaussian(X[:, :3].sum(axis=1) + rng.standard_normal(n))
+        else:
+            resp = ResponseFamily.binomial((rng.uniform(size=n) < 0.5).astype(float))
+        model = fit_ecpc(X, resp, [disjoint_grouping(p, 5)], intercept=True)
+        sd = posterior_sds(model, X, resp)
+        delta = 1.0 / (model.tau_global * np.maximum(model.tau_local, 1e-6))
+        lp = X @ model.beta + model.intercept
+        if family == "gaussian":
+            w = np.full(n, 1.0 / model.sigma2)
+        else:
+            pr = 1.0 / (1.0 + np.exp(-lp))
+            w = pr * (1.0 - pr)
+        Xt = np.sqrt(w)[:, None] * X / np.sqrt(delta)
+        _, d, Vt = np.linalg.svd(Xt, full_matrices=False)
+        inner = 1.0 - (Vt.T**2 * (d**2 / (d**2 + 1.0))).sum(axis=1)
+        ref = np.sqrt(inner / delta)
+        assert np.abs(sd / ref - 1.0).max() <= 1e-10
 
     def test_positive(self):
         X, resp, model, _ = sparse_gaussian(14)
