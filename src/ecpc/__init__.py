@@ -44,7 +44,6 @@ from .glm import (
 from .hypershrinkage import (
     GroupWeights,
     HyperLambda,
-    HyperPenalty,
     estimate_hyperlambda,
     solve_hierarchical_lasso,
     solve_lasso_hyper,
@@ -101,7 +100,6 @@ __all__ = [
     "martingale_residuals",
     "GroupWeights",
     "HyperLambda",
-    "HyperPenalty",
     "estimate_hyperlambda",
     "solve_hierarchical_lasso",
     "solve_lasso_hyper",

@@ -177,10 +177,7 @@ def build_codata_matrix(grouping: Grouping) -> CoDataMatrix:
     Rows sum to one: a covariate in m groups contributes 1/m to each of its
     group columns, pooling group weights by averaging.
     """
-    counts = grouping.membership_counts()
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise CoverageError(f"covariate {missing + 1} belongs to no group")
+    counts = grouping.membership_counts()  # all positive: a Grouping covers every covariate
     Z = np.zeros((grouping.p, grouping.n_groups))
     for g_idx, g in enumerate(grouping.groups):
         idx = np.asarray(g)

@@ -32,7 +32,6 @@ from .glm import (
 from .hypershrinkage import (
     KINDS,
     HyperLambda,
-    HyperPenalty,
     estimate_hyperlambda,
     group_size_scaling,
     solve_hyper,
@@ -132,16 +131,19 @@ def _coerce_kinds(codata_list, hyper) -> list[str]:
     """One hypershrinkage kind name per co-data source (default ridge)."""
     if hyper is None:
         hyper = "ridge"
-    if isinstance(hyper, (str, HyperPenalty)):
+    if isinstance(hyper, str):
         hyper = [hyper] * len(codata_list)
-    if len(hyper) != len(codata_list):
-        raise DataError("need one hypershrinkage kind per co-data source")
     for h in hyper:
-        if h not in KINDS:  # a HyperPenalty too: its strength would be ignored
+        if not isinstance(h, str) or h not in KINDS:
             raise DataError(
                 f"unknown hyperpenalty kind {h!r}: hyper takes names from {KINDS}; "
                 "set the strength with forced_hyperlambda"
             )
+    if len(hyper) != len(codata_list):
+        raise DataError("need one hypershrinkage kind per co-data source")
+    for grouping, kind in zip(codata_list, hyper):
+        if kind == "hierarchical_lasso" and grouping.tree is None:
+            raise DataError(f"grouping '{grouping.name}' has no hierarchy for kind '{kind}'")
     return list(hyper)
 
 
@@ -154,7 +156,6 @@ def fit_ecpc(
     n_splits: int = 10,
     n_folds: int = 10,
     seed: int = 0,
-    hyperlambda_grid=None,
     forced_hyperlambda: float | None = None,
 ) -> FittedModel:
     """Fit a co-data adaptive ridge model.
@@ -162,8 +163,9 @@ def fit_ecpc(
     ``codata_list`` holds one grouping per co-data source (each covering all
     columns of ``X``); ``hyper`` gives the hypershrinkage kind name, one of
     ``KINDS``, per source (default ridge).  ``forced_hyperlambda`` skips the
-    split-based tuning and uses the given strength for every source (mainly
-    for the non-informative limit and for tests).  A cox fit takes no
+    split-based tuning and uses the given strength for every source but
+    those of kind ``none``, which is always 0 (mainly for the
+    non-informative limit and for tests).  A cox fit takes no
     intercept: the partial likelihood does not depend on one.
     """
     X = np.asarray(X, dtype=float)
@@ -200,7 +202,7 @@ def fit_ecpc(
     )
     # one row-space rotation serves the fit and the core; its Gram is step 1's, scaled
     omega0 = state0.precision_diag
-    rows = _RowSpace.of(X_aug, omega0, None if gv.gram is None else tau_global * gv.gram)
+    rows = _RowSpace.of(X_aug, omega0, tau_global * gv.gram)
     fit0 = fit_weighted_ridge(X_aug, resp_fit, state0, rows=rows)
     W = moment_weights(resp_fit, fit0.linear_predictor)
     core = compute_moment_core(X_aug, W, omega0, fit0.beta, rows=rows)
@@ -211,35 +213,25 @@ def fit_ecpc(
     hyperlambdas: list[float] = []
     tuning: list[dict] = []
     moments: list[dict] = []
-    trees = [g.tree for g in codata_list]
     for d, (grouping, Z, kind) in enumerate(zip(codata_list, codata_matrices, kinds)):
-        if kind == "hierarchical_lasso" and trees[d] is None:
-            raise DataError(f"grouping '{grouping.name}' has no hierarchy for kind '{kind}'")
-        tuned = kind != "none" and forced_hyperlambda is None
-        route = core.plan(Z, n_splits if tuned else 0)
-        moments.append({"route": route, "rank": core.rank})
-        if kind == "none":
-            choice = HyperLambda(0.0)
-        elif forced_hyperlambda is not None:
-            choice = HyperLambda(float(forced_hyperlambda))
-        else:
+        if forced_hyperlambda is None:  # kind none: strength 0, untuned
             choice = estimate_hyperlambda(
                 grouping,
                 core,
                 penalty_kind=kind,
                 n_splits=n_splits,
                 seed=seed + 1000 * (d + 1),
-                grid=hyperlambda_grid,
-                tree=trees[d],
+                tree=grouping.tree,
                 tau_global=tau_global,
                 Z=Z,
             )
+        else:
+            choice = HyperLambda(0.0 if kind == "none" else float(forced_hyperlambda))
+        # the route planned at Z's first use: by the tuning, or here if untuned
+        moments.append({"route": core.plan(Z), "rank": core.rank})
         system = build_variance_system(core, Z, grouping, tau_global=tau_global)
         (gw,) = solve_hyper(
-            [system],
-            HyperPenalty(kind=kind, lam=choice.lam),
-            [group_size_scaling(grouping)],
-            tree=trees[d],
+            [system], kind, choice.lam, [group_size_scaling(grouping)], tree=grouping.tree
         )
         gammas.append(gw.gamma)
         hyperlambdas.append(choice.lam)

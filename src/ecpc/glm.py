@@ -574,7 +574,7 @@ class GlobalVariance:
     cv_scores: np.ndarray | None = None  # NaN at points the CV walk did not reach
     newton_steps: int = 0  # of all cross-validation fits, capped ones included
     on_grid_boundary: bool = False
-    gram: np.ndarray | None = field(default=None, repr=False)  # X_P X_P', if formed
+    gram: np.ndarray | None = field(default=None, repr=False)  # X_P X_P'
 
 
 def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarray:
@@ -643,13 +643,13 @@ def estimate_global_variance(
     if not X.any():
         raise DataError("degenerate X: all entries are zero")
 
+    Xp = X[:, ~mask]
+    K = Xp @ Xp.T  # the Gram of the penalised columns, returned
     if resp.family == "gaussian":
-        Xp = X[:, ~mask]
-        y = resp.y
-        if mask.any():
+        y, gram = resp.y, K
+        if mask.any():  # the error contrasts N'y, of Gram N'KN
             N = np.linalg.qr(X[:, mask], mode="complete")[0][:, mask.sum() :]
-            y, Xp = N.T @ y, N.T @ Xp
-        gram = Xp @ Xp.T
+            y, gram = N.T @ y, N.T @ K @ N
         d, Q = np.linalg.eigh(gram)
         d = np.clip(d, 0.0, None)
         if d.max() <= 0:
@@ -673,8 +673,7 @@ def estimate_global_variance(
             ).x
         kappa = math.exp(log_kappa)
         s2 = resp.sigma2 or float(np.mean(u2 / (1.0 + kappa * d)))
-        gram = None if mask.any() else gram  # with unpenalised columns: the contrasts'
-        gv = GlobalVariance(kappa * s2, s2, on_grid_boundary=best in (0, len(grid) - 1), gram=gram)
+        gv = GlobalVariance(kappa * s2, s2, on_grid_boundary=best in (0, len(grid) - 1), gram=K)
         return _flag_boundary(gv)
 
     grid = np.logspace(-4, 6, 50)
@@ -684,8 +683,6 @@ def estimate_global_variance(
     fold_ids = np.unique(folds)
     if len(fold_ids) < 2:
         raise DataError("cross-validation needs at least 2 folds")
-    Xp = X[:, ~mask]
-    K = Xp @ Xp.T  # the Gram of the penalised columns, shared by every fold
     X_unpen = X[:, mask]
     paths = []
     for f in fold_ids:

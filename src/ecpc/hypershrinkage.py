@@ -8,11 +8,17 @@ group hierarchy (a node may be selected only if all its ancestors are).
 The strength of this extra penalty is tuned by random in/out splits of the
 groups, scoring each candidate on the held-out half of the system.
 
+:func:`solve_hyper` is the one dispatch on the kind.  At zero strength,
+and for kind ``none``, every kind is the minimum-norm least-squares fit.
+Above zero a kind only selects groups (ridge keeps all of them), and one
+ridge solve, stacked over the systems of one selection pattern, gives the
+weights of every kind.
+
 Both sparse kinds share one null threshold, :func:`lasso_null_threshold`:
 the smallest strength at which every penalised latent is zero.  At or
 above it the KKT conditions give the solution in closed form (the
-unpenalised latents' least-squares fit, zero elsewhere), so the solvers
-return it without running coordinate descent or FISTA.  A screened answer
+unpenalised latents' least-squares fit, zero elsewhere), so the selection
+is made without running coordinate descent or FISTA.  A screened answer
 is the exact optimum, not an iterate stopped near it.
 """
 
@@ -36,7 +42,6 @@ from .glm import elastic_net_cd
 from .mom import MomentCore, MomentSystem, build_split_systems
 
 __all__ = [
-    "HyperPenalty",
     "HyperLambda",
     "GroupWeights",
     "group_size_scaling",
@@ -50,27 +55,12 @@ __all__ = [
 KINDS = ("none", "ridge", "lasso", "hierarchical_lasso")
 
 
-@dataclass(frozen=True)
-class HyperPenalty:
-    """Configuration of the penalty applied to group weights."""
-
-    kind: str = "ridge"
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown hyperpenalty kind '{self.kind}'")
-        if self.lam < 0:
-            raise DataError("hyperpenalty strength must be non-negative")
-
-
 @dataclass
 class GroupWeights:
-    """Fitted group weights, the groups kept by sparse kinds, and the penalty used."""
+    """Fitted group weights, the groups kept, and a hierarchical lasso's objective."""
 
     gamma: np.ndarray
     selected: np.ndarray
-    lambda_used: float
     objective: float | None = None
 
 
@@ -107,22 +97,7 @@ def solve_ridge_hyper(
     unscaled minimiser truncated at zero.  The scaling makes the penalty
     act on the same per-covariate scale for groups of different sizes.
     """
-    if lam < 0:
-        raise DataError("ridge hyperpenalty must be non-negative")
-    A = np.asarray(system.A, dtype=float)
-    b = np.asarray(system.b, dtype=float)
-    W = np.asarray(W_gamma, dtype=float)
-    sqw = np.sqrt(W)
-    As = A / sqw[None, :]
-    G = A.shape[1]
-    if lam == 0:
-        g_scaled, *_ = np.linalg.lstsq(As, b, rcond=None)
-    else:
-        lhs = As.T @ As + lam * np.eye(G)
-        rhs = As.T @ b + lam * sqw
-        g_scaled = np.linalg.solve(lhs, rhs)
-    gamma = np.maximum(g_scaled / sqw, 0.0)
-    return GroupWeights(gamma=gamma, selected=gamma > 0, lambda_used=float(lam))
+    return solve_hyper([system], "ridge", lam, [W_gamma])[0]
 
 
 def solve_lasso_hyper(
@@ -138,32 +113,106 @@ def solve_lasso_hyper(
     threshold nothing is selected, without a coordinate-descent run: its
     first violator test is the same comparison.
     """
-    return _lasso_batch([system], lam, [W_gamma])[0]
+    return solve_hyper([system], "lasso", lam, [W_gamma])[0]
 
 
-def _lasso_batch(systems, lam, W_gammas) -> list[GroupWeights]:
-    """:func:`solve_lasso_hyper` on each system, with one stacked ridge refit."""
-    if lam == 0:
-        return [solve_ridge_hyper(s, 0.0, w) for s, w in zip(systems, W_gammas)]
-    selections = []
-    for system, W in zip(systems, W_gammas):
-        W = np.asarray(W, dtype=float)
-        if lam >= lasso_null_threshold(system, W):
-            selections.append(np.zeros(len(W), dtype=bool))
-            continue
-        As = np.asarray(system.A, dtype=float) / np.sqrt(W)[None, :]
-        # ||As g - b||^2 + lam ||g||_1, halved
-        g_scaled = elastic_net_cd(As, 1.0, np.asarray(system.b, dtype=float), lam / 2.0)
-        selections.append(np.abs(g_scaled) > 0)
+def solve_hierarchical_lasso(
+    system: MomentSystem,
+    tree: HierTree,
+    lam: float,
+    W_gamma: np.ndarray,
+) -> GroupWeights:
+    """Hierarchy-respecting sparse weights via a latent overlapping group lasso.
+
+    Each tree node contributes a latent vector supported on its root-to-node
+    path; the scaled weights are the sum of the latents and each latent's
+    Euclidean norm is penalised (the root's is not, so arbitrarily strong
+    penalties fall back to the non-informative single-group solution rather
+    than an empty one).  A group outside the hierarchy, such as the group of
+    covariates with a missing annotation, gets its own unpenalised latent.
+    Any union of root-to-node paths is closed under taking ancestors, so the
+    selected node set always is too.  Selected groups are then refit with
+    ridge shrinkage at the same strength.  Below the null threshold of
+    :func:`lasso_null_threshold` the problem is solved by FISTA (Beck &
+    Teboulle, 2009) on the stacked latents; at or above it the solution is
+    exact and closed-form.
+    """
+    return solve_hyper([system], "hierarchical_lasso", lam, [W_gamma], tree=tree)[0]
+
+
+def solve_hyper(
+    systems: Sequence[MomentSystem],
+    kind: str,
+    lam: float,
+    W_gammas: Sequence[np.ndarray],
+    tree: HierTree | None = None,
+) -> list[GroupWeights]:
+    """Solve each system, with its group sizes, under hypershrinkage ``kind``.
+
+    At ``lam = 0``, and for kind ``none``, every kind is the minimum-norm
+    least-squares fit of the size-scaled system, truncated at zero.  Above
+    zero the kind only picks the groups of each system: ridge keeps all of
+    them, the lasso and the hierarchical lasso those their sparse problem
+    keeps.  One :func:`_ridge_refits` call then gives every kind's weights.
+    ``selected`` is ``gamma > 0`` for the ridge kinds (and the lasso at zero
+    strength), every group for the hierarchical lasso at zero strength, and
+    the sparse selection otherwise.
+    """
+    if kind not in KINDS:
+        raise DataError(f"unknown hyperpenalty kind '{kind}'")
+    if lam < 0:
+        raise DataError("hyperpenalty strength must be non-negative")
+    W_gammas = [np.asarray(w, dtype=float) for w in W_gammas]
+    if kind == "hierarchical_lasso":
+        if tree is None:
+            raise DataError(f"hyperpenalty kind '{kind}' requires a hierarchy")
+        G = np.shape(systems[0].A)[1]
+        if any(np.shape(s.A)[1] != G for s in systems):
+            raise DataError("systems solved together must have the same groups")
+        if tree.n_nodes > G:
+            raise DataError(
+                f"hierarchy has {tree.n_nodes} nodes but the system has only {G} groups"
+            )
+        layout = _latent_layout(tree, G)
+    if kind == "none" or lam == 0:
+        gammas = [_min_norm_fit(s, W) for s, W in zip(systems, W_gammas)]
+        if kind == "hierarchical_lasso":  # no latent is penalised
+            return [GroupWeights(g, np.ones(len(g), dtype=bool)) for g in gammas]
+        return [GroupWeights(g, g > 0) for g in gammas]
+    objectives = [None] * len(systems)
+    if kind == "ridge":
+        selections = [np.ones(len(W), dtype=bool) for W in W_gammas]
+    elif kind == "lasso":
+        selections = _lasso_selections(systems, lam, W_gammas)
+    else:
+        selections, objectives = _hierarchical_selections(systems, layout, lam, W_gammas)
     gammas = _ridge_refits(systems, selections, lam, W_gammas)
-    return [GroupWeights(g, sel, float(lam)) for g, sel in zip(gammas, selections)]
+    if kind == "ridge":
+        selections = [g > 0 for g in gammas]
+    return [GroupWeights(*fit) for fit in zip(gammas, selections, objectives)]
+
+
+def _min_norm_fit(system: MomentSystem, W: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares weights of the size-scaled system, truncated at zero."""
+    sqw = np.sqrt(W)
+    g_scaled = np.linalg.lstsq(
+        np.asarray(system.A, dtype=float) / sqw[None, :],
+        np.asarray(system.b, dtype=float),
+        rcond=None,
+    )[0]
+    return np.maximum(g_scaled / sqw, 0.0)
 
 
 def _ridge_refits(systems, selections, lam: float, W_gammas) -> list[np.ndarray]:
     """Ridge weights of each system's selected groups at strength ``lam > 0``,
-    zero elsewhere: :func:`solve_ridge_hyper` on the selected columns, with
-    one stacked solve for all systems of one selection pattern (a system
-    with fewer equations is padded with zero rows, which change nothing)."""
+    zero elsewhere.
+
+    On the selected columns of the size-scaled system ``As`` this minimises
+    ``||As g' - b||^2 + lam * ||g' - W^{1/2}||^2`` (see
+    :func:`solve_ridge_hyper`), with one stacked solve for all systems of
+    one selection pattern (a system with fewer equations is padded with
+    zero rows, which change nothing).
+    """
     gammas = [np.zeros(len(sel)) for sel in selections]
     patterns: dict[bytes, list[int]] = {}
     for s, sel in enumerate(selections):
@@ -171,7 +220,7 @@ def _ridge_refits(systems, selections, lam: float, W_gammas) -> list[np.ndarray]
             patterns.setdefault(sel.tobytes(), []).append(s)
     for members in patterns.values():
         sel = selections[members[0]]
-        sqw = np.sqrt([np.asarray(W_gammas[s], dtype=float)[sel] for s in members])
+        sqw = np.sqrt([W_gammas[s][sel] for s in members])
         As = np.zeros((len(members), max(len(systems[s].b) for s in members), len(sqw[0])))
         b = np.zeros(As.shape[:2])
         for i, s in enumerate(members):
@@ -185,6 +234,22 @@ def _ridge_refits(systems, selections, lam: float, W_gammas) -> list[np.ndarray]
         for s, g, q in zip(members, g_scaled, sqw):
             gammas[s][sel] = np.maximum(g / q, 0.0)
     return gammas
+
+
+def _lasso_selections(systems, lam: float, W_gammas) -> list[np.ndarray]:
+    """The groups the lasso keeps in each system: none at or above the null
+    threshold, else those with a non-zero scaled weight after coordinate
+    descent."""
+    selections = []
+    for system, W in zip(systems, W_gammas):
+        if lam >= lasso_null_threshold(system, W):
+            selections.append(np.zeros(len(W), dtype=bool))
+            continue
+        As = np.asarray(system.A, dtype=float) / np.sqrt(W)[None, :]
+        # ||As g - b||^2 + lam ||g||_1, halved
+        g_scaled = elastic_net_cd(As, 1.0, np.asarray(system.b, dtype=float), lam / 2.0)
+        selections.append(np.abs(g_scaled) > 0)
+    return selections
 
 
 def lasso_null_threshold(
@@ -245,7 +310,7 @@ def _latent_layout(tree: HierTree, n_groups: int):
     return np.concatenate(paths), sizes, penalised
 
 
-def _fista_latents(B, b, sizes, penalised, lam, max_iter, tol):
+def _fista_latents(B, b, sizes, penalised, lam, max_iter=20_000, tol=1e-12):
     """FISTA on a stack of latent group lasso problems with one latent layout.
 
     Problem ``s`` minimises ``||B[s] u - b[s]||^2 + lam * sum ||u_m||`` over
@@ -291,116 +356,39 @@ def _fista_latents(B, b, sizes, penalised, lam, max_iter, tol):
     return u_out, obj_out
 
 
-def _hierarchical_lasso_batch(
-    systems, tree, lam, W_gammas, max_iter: int = 20_000, tol: float = 1e-12
-):
-    """:func:`solve_hierarchical_lasso` on many systems with one FISTA run.
+def _hierarchical_selections(systems, layout, lam: float, W_gammas):
+    """The groups the hierarchical lasso keeps in each system, and its objective.
 
-    The systems must have the same groups.  Their scaled latent designs are
-    stacked; a system with fewer equations is padded with zero rows, which
-    change neither its objective nor its gradient.  A system at or above
-    its null threshold gets the closed-form solution of :func:`_null_fits`;
-    FISTA solves the others.
+    The systems share one latent ``layout`` of :func:`_latent_layout`.
+    Their scaled latent designs are stacked; a system with fewer equations
+    is padded with zero rows, which change neither its objective nor its
+    gradient.  A system at or above its null threshold gets the closed-form
+    solution of :func:`_null_fits`; one FISTA run solves the others.
     """
-    A = [np.asarray(s.A, dtype=float) for s in systems]
+    flat, sizes, penalised = layout
     b = [np.asarray(s.b, dtype=float) for s in systems]
-    W = [np.asarray(w, dtype=float) for w in W_gammas]
-    G = A[0].shape[1]
-    if any(a.shape[1] != G for a in A):
-        raise DataError("systems solved together must have the same groups")
-    if tree.n_nodes > G:
-        raise DataError(
-            f"hierarchy has {tree.n_nodes} nodes but the system has only {G} groups"
-        )
-    flat, sizes, penalised = _latent_layout(tree, G)
-    if lam == 0:
-        return [
-            GroupWeights(solve_ridge_hyper(s, 0.0, w).gamma, np.ones(G, dtype=bool), 0.0)
-            for s, w in zip(systems, W)
-        ]
-
     # one column per latent entry: B[s] u = As[s] @ (sum of the latents)
-    B = np.zeros((len(A), max(a.shape[0] for a in A), len(flat)))
+    B = np.zeros((len(b), max(map(len, b)), len(flat)))
     b_pad = np.zeros(B.shape[:2])
-    for s, (a, rhs, w) in enumerate(zip(A, b, W)):
-        B[s, : len(rhs)] = (a / np.sqrt(w)[None, :])[:, flat]
-        b_pad[s, : len(rhs)] = rhs
+    for s, (system, W) in enumerate(zip(systems, W_gammas)):
+        A = np.asarray(system.A, dtype=float)
+        B[s, : len(b[s])] = (A / np.sqrt(W)[None, :])[:, flat]
+        b_pad[s, : len(b[s])] = b[s]
     threshold, r0 = _null_fits(B, b_pad, sizes, penalised)
     objective = (r0 * r0).sum(axis=1)
-    latent_norms = np.zeros((len(A), len(sizes)))  # zero penalised latents if screened
+    latent_norms = np.zeros((len(b), len(sizes)))  # zero penalised latents if screened
     fista = lam < threshold
     if fista.any():
-        u, objective[fista] = _fista_latents(
-            B[fista], b_pad[fista], sizes, penalised, lam, max_iter, tol
-        )
+        u, objective[fista] = _fista_latents(B[fista], b_pad[fista], sizes, penalised, lam)
         latent_norms[fista] = np.sqrt(np.add.reduceat(u * u, np.cumsum(sizes) - sizes, axis=1))
 
     selections = []
     for s, norms in enumerate(latent_norms):
-        latent_norm_tol = 1e-8 * (1.0 + np.abs(b[s]).max())
-        kept = ~penalised | (norms > latent_norm_tol)
-        selected = np.zeros(G, dtype=bool)
+        kept = ~penalised | (norms > 1e-8 * (1.0 + np.abs(b[s]).max()))
+        selected = np.zeros(len(W_gammas[s]), dtype=bool)
         selected[flat[np.repeat(kept, sizes)]] = True
         selections.append(selected)
-    gammas = _ridge_refits(systems, selections, lam, W)
-    return [
-        GroupWeights(gamma, selected, float(lam), float(obj))
-        for gamma, selected, obj in zip(gammas, selections, objective)
-    ]
-
-
-def solve_hierarchical_lasso(
-    system: MomentSystem,
-    tree: HierTree,
-    lam: float,
-    W_gamma: np.ndarray,
-    max_iter: int = 20_000,
-    tol: float = 1e-12,
-) -> GroupWeights:
-    """Hierarchy-respecting sparse weights via a latent overlapping group lasso.
-
-    Each tree node contributes a latent vector supported on its root-to-node
-    path; the scaled weights are the sum of the latents and each latent's
-    Euclidean norm is penalised (the root's is not, so arbitrarily strong
-    penalties fall back to the non-informative single-group solution rather
-    than an empty one).  A group outside the hierarchy, such as the group of
-    covariates with a missing annotation, gets its own unpenalised latent.
-    Any union of root-to-node paths is closed under taking ancestors, so the
-    selected node set always is too.  Selected groups are then refit with
-    ridge shrinkage at the same strength.  Below the null threshold of
-    :func:`lasso_null_threshold` the problem is solved by FISTA (Beck &
-    Teboulle, 2009) on the stacked latents; at or above it the solution is
-    exact and closed-form.
-    """
-    return _hierarchical_lasso_batch([system], tree, lam, [W_gamma], max_iter, tol)[0]
-
-
-def solve_hyper(
-    systems: Sequence[MomentSystem],
-    penalty: HyperPenalty,
-    W_gammas: Sequence[np.ndarray],
-    tree: HierTree | None = None,
-) -> list[GroupWeights]:
-    """Solve each system, with its group sizes, under the penalty's kind.
-
-    The hierarchical lasso solves all systems in one batched run; the lasso
-    selects on each system and refits the selections with one stacked solve
-    per selection pattern; the ridge kinds solve the systems one by one.
-    """
-    kind = penalty.kind
-    if kind == "hierarchical_lasso":
-        if tree is None:
-            raise DataError(f"hyperpenalty kind '{kind}' requires a hierarchy")
-        return _hierarchical_lasso_batch(systems, tree, penalty.lam, W_gammas)
-    if kind == "none":
-        solve = lambda s, w: solve_ridge_hyper(s, 0.0, w)
-    elif kind == "ridge":
-        solve = lambda s, w: solve_ridge_hyper(s, penalty.lam, w)
-    elif kind == "lasso":
-        return _lasso_batch(systems, penalty.lam, W_gammas)
-    else:
-        raise DataError(f"unknown hyperpenalty kind '{kind}'")
-    return [solve(s, w) for s, w in zip(systems, W_gammas)]
+    return selections, [float(obj) for obj in objective]
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -455,9 +443,8 @@ def estimate_hyperlambda(
         sizes_in.append(np.maximum(sizes, 1.0))
 
     def mean_rss(lam):
-        penalty = HyperPenalty(kind=penalty_kind, lam=float(lam))
         try:
-            fits = solve_hyper(systems_in, penalty, sizes_in, tree=tree)
+            fits = solve_hyper(systems_in, penalty_kind, float(lam), sizes_in, tree=tree)
         except ConvergenceError:
             return np.inf
         resids = [s.A @ gw.gamma - s.b for s, gw in zip(systems_out, fits)]

@@ -17,7 +17,7 @@ from ecpc import ConvergenceError, glm, hypershrinkage
 from ecpc.codata import build_codata_matrix, build_hierarchy_from_continuous
 from ecpc.estimator import TAU_LOCAL_FLOOR
 from ecpc.glm import PenaltyState, estimate_global_variance, fit_weighted_ridge
-from ecpc.hypershrinkage import HyperPenalty, solve_hierarchical_lasso
+from ecpc.hypershrinkage import solve_hierarchical_lasso
 from ecpc.mom import MomentSystem
 
 
@@ -248,12 +248,12 @@ class TestFitEcpc:
             fit_ecpc(X, resp, [g], hyper="hierarchical_lasso")
 
     def test_hyper_takes_kind_names_only(self):
-        # a strength inside a HyperPenalty would be ignored: the tuning sets it
+        # a strength given with the kind would be ignored: the tuning sets it
         X, resp, g = gaussian_data(29)
         with pytest.raises(DataError, match="forced_hyperlambda"):
-            fit_ecpc(X, resp, [g], hyper=HyperPenalty("ridge", lam=5.0))
+            fit_ecpc(X, resp, [g], hyper=("ridge", 5.0))
         with pytest.raises(DataError, match="forced_hyperlambda"):
-            fit_ecpc(X, resp, [g, g], hyper=["ridge", HyperPenalty("lasso")])
+            fit_ecpc(X, resp, [g, g], hyper=["ridge", ("lasso", 5.0)])
         with pytest.raises(DataError, match="unknown hyperpenalty kind 'group_lasso'"):
             fit_ecpc(X, resp, [g], hyper="group_lasso")
 
@@ -490,13 +490,14 @@ class TestSerialization:
         assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}]
         assert back.diagnostics == model.diagnostics
 
-    def test_round_trip_hyperlambda_record(self):
+    def test_round_trip_hyperlambda_record(self, monkeypatch):
         X, resp, g = gaussian_data(37)
         # the optimum (near 5.6) lies above what three extensions of this grid reach
-        with pytest.warns(UserWarning, match="grid boundary after 3 extensions"):
-            model = fit_ecpc(
-                X, resp, [g, g], hyper=["ridge", "none"], hyperlambda_grid=[1e-9, 1e-8]
-            )
+        with monkeypatch.context() as mp, pytest.warns(
+            UserWarning, match="grid boundary after 3 extensions"
+        ):
+            mp.setattr(hypershrinkage, "default_lambda_grid", lambda: np.array([1e-9, 1e-8]))
+            model = fit_ecpc(X, resp, [g, g], hyper=["ridge", "none"])
         ridge, untuned = model.diagnostics["hyperlambda"]
         # two points and two scored extensions; the third is not scored
         scored = [1e-9, 1e-8] + [1e-8 * 10.0**k for k in range(1, 7)]
@@ -524,10 +525,10 @@ class TestSerialization:
         top = hypershrinkage.default_lambda_grid()[-1]
         solve = hypershrinkage.solve_hyper
 
-        def failing_at_top(systems, penalty, *args, **kwargs):
-            if penalty.lam == top:
+        def failing_at_top(systems, kind, lam, *args, **kwargs):
+            if lam == top:
                 raise ConvergenceError("no convergence")
-            return solve(systems, penalty, *args, **kwargs)
+            return solve(systems, kind, lam, *args, **kwargs)
 
         monkeypatch.setattr(hypershrinkage, "solve_hyper", failing_at_top)
         model = fit_ecpc(X, resp, [g, g], hyper=["ridge", "none"])

@@ -776,6 +776,39 @@ class TestGlobalVariance:
             assert tall.sigma2 == pytest.approx(9.0 * gv.sigma2, rel=1e-6)
             assert tall.tau_global == pytest.approx(9.0 * gv.tau_global, rel=1e-6)
 
+    @pytest.mark.parametrize("p", [15, 120])
+    @pytest.mark.parametrize("u", [1, 2])
+    def test_gaussian_contrasts_from_the_penalised_gram(self, p, u):
+        # with unpenalised columns U the search runs on the error contrasts'
+        # Gram N'KN, formed from the returned K = X_P X_P'; it must reach the
+        # optimum of the projected form, the Gram of N'X_P.  The REML
+        # likelihood is compared, not the variances: where it is flat (near
+        # a sigma2 collapse or no signal) rounding moves the search along it
+        n = 40
+
+        def reml_nll(Xc, yc, gv):  # dense, per contrast, less constants
+            S = gv.sigma2 * np.eye(n - u) + gv.tau_global * Xc @ Xc.T
+            return (np.linalg.slogdet(S)[1] + yc @ np.linalg.solve(S, yc)) / (n - u)
+
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((n, p))
+            U = np.column_stack([np.ones(n), rng.standard_normal(n)])[:, :u]
+            y = X @ rng.normal(0.0, 0.3, p) + U @ rng.normal(0.0, 3.0, u) + rng.standard_normal(n)
+            mask = np.arange(p + u) >= p
+            N = np.linalg.qr(U, mode="complete")[0][:, u:]
+            Xc, yc = N.T @ X, N.T @ y
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a collapse ends on the bracket
+                gv = estimate_global_variance(
+                    np.hstack([X, U]), ResponseFamily.gaussian(y), unpenalized_mask=mask
+                )
+                projected = estimate_global_variance(Xc, ResponseFamily.gaussian(yc))
+            assert np.allclose(gv.gram, X @ X.T, rtol=1e-14, atol=0.0)
+            assert gv.on_grid_boundary == projected.on_grid_boundary
+            best = reml_nll(Xc, yc, projected)
+            assert abs(reml_nll(Xc, yc, gv) - best) <= 1e-12 * (1.0 + abs(best))
+
     def test_supplied_sigma2_with_zero_response_is_the_lower_end(self):
         # the bracket's lower end: kappa mean(d) = 1e-8, mean(d) = |X|_F^2 / n
         rng = np.random.default_rng(12)

@@ -18,9 +18,8 @@ from ecpc import hypershrinkage
 from ecpc.codata import build_hierarchy_from_continuous
 from ecpc.glm import elastic_net_cd
 from ecpc.hypershrinkage import (
-    HyperPenalty,
+    KINDS,
     _fista_latents,
-    _hierarchical_lasso_batch,
     _latent_layout,
     group_size_scaling,
     lasso_null_threshold,
@@ -50,6 +49,14 @@ def hier_case(seed, G):
     b = rng.standard_normal(G)
     W = rng.uniform(1.0, 6.0, G)
     return MomentSystem(A=A, b=b, group_labels=tuple(map(str, range(G)))), W
+
+
+def ridge_closed_form(A, b, lam, W):
+    """The ridge hypershrinkage weights at ``lam > 0``: its normal equations, solved."""
+    sqw = np.sqrt(W)
+    As = A / sqw
+    g_scaled = np.linalg.solve(As.T @ As + lam * np.eye(len(W)), As.T @ b + lam * sqw)
+    return np.maximum(g_scaled / sqw, 0.0)
 
 
 def loop_reference(sys, W, lam):
@@ -96,9 +103,8 @@ def loop_reference(sys, W, lam):
     for m, (path, seg) in enumerate(zip(paths, segments)):
         if m not in penalised or np.linalg.norm(u[seg]) > 1e-8 * (1.0 + np.abs(sys.b).max()):
             selected[path] = True
-    sub = MomentSystem(A=sys.A[:, selected], b=sys.b, group_labels=("",) * selected.sum())
     gamma = np.zeros(G)
-    gamma[selected] = solve_ridge_hyper(sub, lam, W[selected]).gamma
+    gamma[selected] = ridge_closed_form(sys.A[:, selected], sys.b, lam, W[selected])
     return selected, gamma, objective(u)
 
 
@@ -120,12 +126,13 @@ def null_fit(sys, W):
 
 
 def solve_capped(systems, Ws, lam, max_iter):
-    """Batch solve with an iteration cap; returns the fits and whether it warned."""
-    with warnings.catch_warnings(record=True) as caught:
+    """Batch solve with FISTA capped at ``max_iter`` iterations; returns the fits
+    and whether it warned."""
+    fista = hypershrinkage._fista_latents
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        mp.setattr(hypershrinkage, "_fista_latents", lambda *args: fista(*args, max_iter, 1e-12))
         warnings.simplefilter("always")
-        fits = _hierarchical_lasso_batch(
-            systems, BALANCED_TREE, lam, Ws, max_iter=max_iter, tol=1e-12
-        )
+        fits = solve_hyper(systems, "hierarchical_lasso", lam, Ws, tree=BALANCED_TREE)
     return fits, any("iteration cap" in str(w.message) for w in caught)
 
 
@@ -387,8 +394,7 @@ class TestHierarchicalLasso:
     def test_objective_matches_long_run(self, seeds, G, lam):
         cases = [hier_case(seed, G) for seed in seeds]
         systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
-        penalty = HyperPenalty(kind="hierarchical_lasso", lam=lam)
-        fits = solve_hyper(systems, penalty, Ws, tree=BALANCED_TREE)
+        fits = solve_hyper(systems, "hierarchical_lasso", lam, Ws, tree=BALANCED_TREE)
         # the reference is FISTA itself on every system, screened ones included
         flat, sizes, penalised = _latent_layout(BALANCED_TREE, G)
         B = np.stack([(s.A / np.sqrt(W))[:, flat] for s, W in zip(systems, Ws)])
@@ -411,8 +417,7 @@ class TestHierarchicalLasso:
         warned = [solve_capped([s], [W], lam, 300)[1] for s, W in cases]
         assert any(warned) and not all(warned)
 
-        penalty = HyperPenalty(kind="hierarchical_lasso", lam=lam)
-        batch = solve_hyper(systems, penalty, Ws, tree=BALANCED_TREE)
+        batch = solve_hyper(systems, "hierarchical_lasso", lam, Ws, tree=BALANCED_TREE)
         for (sys, W), got in zip(cases, batch):
             alone = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
             assert np.array_equal(got.selected, alone.selected)
@@ -429,16 +434,14 @@ class TestHierarchicalLasso:
 
     def test_iteration_cap_warns(self):
         sys, W = hier_case(0, 7)
-        with pytest.warns(UserWarning, match="iteration cap"):
-            solve_hierarchical_lasso(sys, BALANCED_TREE, 0.5, W, max_iter=5)
+        assert solve_capped([sys], [W], 0.5, 5)[1]
 
 
 def ridge_weights(sys, selected, lam, W):
     """The ridge refit of the selected groups at ``lam``, zero elsewhere."""
     gamma = np.zeros(len(W))
     if selected.any():
-        sub = MomentSystem(A=sys.A[:, selected], b=sys.b, group_labels=("",) * selected.sum())
-        gamma[selected] = solve_ridge_hyper(sub, lam, W[selected]).gamma
+        gamma[selected] = ridge_closed_form(sys.A[:, selected], sys.b, lam, W[selected])
     return gamma
 
 
@@ -479,7 +482,9 @@ class TestNullScreening:
             sys = without_last_equation(sys)
         lam = factor * lasso_null_threshold(sys, W, BALANCED_TREE)
         partner = hier_case(300, G)
-        out = _hierarchical_lasso_batch([sys, partner[0]], BALANCED_TREE, lam, [W, partner[1]])[0]
+        out = solve_hyper(
+            [sys, partner[0]], "hierarchical_lasso", lam, [W, partner[1]], tree=BALANCED_TREE
+        )[0]
 
         B = (sys.A / np.sqrt(W))[:, flat]
         with pytest.warns(UserWarning, match="iteration cap"):
@@ -520,7 +525,7 @@ class TestNullScreening:
         ]:
             top = max(lasso_null_threshold(s, W, tree) for s, W in zip(systems, Ws))
             for lam in (top, 10.0 * top):
-                fits = solve_hyper(systems, HyperPenalty(kind=kind, lam=lam), Ws, tree=tree)
+                fits = solve_hyper(systems, kind, lam, Ws, tree=tree)
                 for fit in fits:
                     assert np.array_equal(fit.selected, expected)
 
@@ -534,9 +539,7 @@ class TestNullScreening:
         lam = float(np.median(thresholds))
         screened = [lam >= t for t in thresholds]
         assert any(screened) and not all(screened)
-        batch = solve_hyper(
-            systems, HyperPenalty(kind="hierarchical_lasso", lam=lam), Ws, tree=BALANCED_TREE
-        )
+        batch = solve_hyper(systems, "hierarchical_lasso", lam, Ws, tree=BALANCED_TREE)
         for (sys, W), got, null in zip(cases, batch, screened):
             alone = solve_hierarchical_lasso(sys, BALANCED_TREE, lam, W)
             assert np.array_equal(got.selected, alone.selected)
@@ -559,7 +562,7 @@ class TestNullScreening:
         systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
         thresholds = [lasso_null_threshold(s, W) for s, W in zip(systems, Ws)]
         lam = 1e-6 * min(thresholds) if where == "below all" else float(np.median(thresholds))
-        batch = solve_hyper(systems, HyperPenalty(kind="lasso", lam=lam), Ws)
+        batch = solve_hyper(systems, "lasso", lam, Ws)
         patterns = set()
         for (sys, W), got in zip(cases, batch):
             selected = elastic_net_cd(sys.A / np.sqrt(W), 1.0, sys.b, lam / 2) != 0
@@ -573,6 +576,79 @@ class TestNullScreening:
             assert patterns == {np.ones(G, dtype=bool).tobytes()}
         else:  # screened systems and refits side by side
             assert np.zeros(G, dtype=bool).tobytes() in patterns and len(patterns) > 1
+
+
+class TestDispatch:
+    """solve_hyper: least squares at zero strength, one stacked ridge refit above it."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [5, 8, 12])
+    def test_zero_strength_is_min_norm_least_squares(self, kind, m):
+        # every kind at lam = 0 (and kind none at any strength) is the
+        # minimum-norm least-squares fit of the size-scaled system, truncated
+        # at 0; m = 5 equations leave the 8 groups rank deficient
+        rng = np.random.default_rng(m)
+        systems = [
+            MomentSystem(
+                A=rng.standard_normal((m, 8)), b=rng.standard_normal(m), group_labels=("",) * 8
+            )
+            for _ in range(5)
+        ]
+        Ws = [rng.uniform(1.0, 6.0, 8) for _ in systems]
+        for lam in (0.0, 2.0) if kind == "none" else (0.0,):
+            fits = solve_hyper(systems, kind, lam, Ws, tree=BALANCED_TREE)
+            for sys, W, fit in zip(systems, Ws, fits):
+                sqw = np.sqrt(W)
+                ref = np.maximum(np.linalg.lstsq(sys.A / sqw, sys.b, rcond=None)[0] / sqw, 0.0)
+                assert np.allclose(fit.gamma, ref, rtol=1e-12, atol=0.0)
+                # the hierarchical lasso penalises no latent at zero strength
+                keep_all = kind == "hierarchical_lasso"
+                assert np.array_equal(fit.selected, np.full(8, True) if keep_all else ref > 0)
+                assert fit.objective is None
+
+    @pytest.mark.parametrize("kind", ["ridge", "none"])
+    @pytest.mark.parametrize("lam", [1e-7, 0.7, 30.0, 1e7])
+    def test_batch_equals_alone(self, kind, lam):
+        cases = [hier_case(500 + seed, 8) for seed in range(6)]
+        systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
+        batch = solve_hyper(systems, kind, lam, Ws)
+        for (sys, W), got in zip(cases, batch):
+            (alone,) = solve_hyper([sys], kind, lam, [W])
+            assert np.array_equal(got.gamma, alone.gamma)
+            assert np.array_equal(got.selected, alone.gamma > 0)
+            if kind == "ridge":
+                ref = ridge_closed_form(sys.A, sys.b, lam, W)
+                assert np.allclose(got.gamma, ref, rtol=1e-10, atol=1e-12)
+
+    def test_every_kind_refits_with_one_stacked_ridge_solve(self, monkeypatch):
+        calls = []
+        refits = hypershrinkage._ridge_refits
+
+        def counted(systems, selections, lam, W_gammas):
+            calls.append(len(systems))
+            return refits(systems, selections, lam, W_gammas)
+
+        monkeypatch.setattr(hypershrinkage, "_ridge_refits", counted)
+        cases = [hier_case(600 + seed, 8) for seed in range(4)]
+        systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
+        for kind in KINDS:
+            calls.clear()
+            solve_hyper(systems, kind, 0.5, Ws, tree=BALANCED_TREE)
+            assert calls == ([] if kind == "none" else [4])
+            calls.clear()
+            solve_hyper(systems, kind, 0.0, Ws, tree=BALANCED_TREE)
+            assert calls == []
+
+    def test_rejects_unknown_kind_and_negative_strength(self):
+        from ecpc import DataError
+
+        sys, W = hier_case(0, 8)
+        with pytest.raises(DataError, match="unknown hyperpenalty kind"):
+            solve_hyper([sys], "group_lasso", 1.0, [W])
+        with pytest.raises(DataError, match="non-negative"):
+            solve_hyper([sys], "lasso", -1.0, [W])
+        with pytest.raises(DataError, match="requires a hierarchy"):
+            solve_hyper([sys], "hierarchical_lasso", 1.0, [W])
 
 
 def _core_and_grouping(seed=21, n=20, p=12, G=4):
@@ -620,7 +696,7 @@ class TestEstimateHyperlambda:
             split = split_groups_random(g, seed=100 + s)
             sys_in, sys_out = bss(core, g, split)
             sizes_in = np.array([len(p_) for p_ in split.in_groups], dtype=float)
-            (gw,) = solve_hyper([sys_in], HyperPenalty(kind="ridge", lam=1e12), [sizes_in])
+            (gw,) = solve_hyper([sys_in], "ridge", 1e12, [sizes_in])
             r = sys_out.A @ gw.gamma - sys_out.b
             scores.append(r @ r)
         assert np.isclose(np.mean(scores), expected, rtol=1e-4)
