@@ -7,7 +7,6 @@ weights, with optional posterior covariate selection.
 """
 
 from .codata import (
-    CoDataMatrix,
     GroupSplit,
     Grouping,
     HierTree,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "CoDataMatrix",
     "GroupSplit",
     "Grouping",
     "HierTree",

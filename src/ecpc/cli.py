@@ -163,19 +163,33 @@ def load_codata_spec(path: str, p: int, index: int) -> Grouping:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     name = f"codata{index}"
     if isinstance(doc, dict) and "continuous" in doc:
+        if not isinstance(doc["continuous"], str):
+            raise DataError(f'{path}: "continuous" must name a CSV file')
+        min_group_size = _spec_number(path, doc, "min_group_size", int)
         values = load_continuous_csv(doc["continuous"])
         if len(values) != p:
             raise DataError(
                 f"{path}: {len(values)} annotation values for {p} covariates"
             )
-        grouping, tree = build_hierarchy_from_continuous(
+        return build_hierarchy_from_continuous(
             values,
-            min_group_size=int(doc.get("min_group_size", 10)),
-            initial_threshold=doc.get("initial_threshold"),
+            min_group_size=10 if min_group_size is None else min_group_size,
+            initial_threshold=_spec_number(path, doc, "initial_threshold", float),
             name=doc.get("name", name),
-        )
-        return grouping
+        )[0]
     return load_grouping_json(path, p, name=name)
+
+
+def _spec_number(path: str, doc: dict, key: str, kind):
+    """``doc[key]`` converted by ``kind`` (int or float), None if absent."""
+    value = doc.get(key)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise DataError(f'{path}: "{key}" must be {what}, not {value!r}') from exc
 
 
 # ---------------------------------------------------------------------------

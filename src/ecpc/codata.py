@@ -1,10 +1,11 @@
 """Groupings of covariates and the matrices derived from them.
 
 A grouping is a collection of (possibly overlapping) index sets covering all
-covariates.  Each grouping induces a membership-averaging matrix used to map
-group-level weights to covariate-level prior variances.  Continuous covariate
-annotations are handled by an adaptive median-split discretisation that
-produces a hierarchy of nested groups.
+covariates: one co-data source.  It carries its membership-averaging matrix
+(:attr:`Grouping.entries`), which maps group-level weights to
+covariate-level prior variances.  Continuous covariate annotations are
+handled by an adaptive median-split discretisation that produces a
+hierarchy of nested groups.
 
 Indices are 0-based internally; the file formats use 1-based indices.
 """
@@ -15,7 +16,8 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .errors import CoverageError, DataError
 
 __all__ = [
     "Grouping",
-    "CoDataMatrix",
     "HierTree",
     "GroupSplit",
     "build_codata_matrix",
@@ -46,11 +47,16 @@ class HierTree:
 
     node_group: tuple[int, ...]
     parent: tuple[int | None, ...]
-    leaves: tuple[int, ...]
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_group)
+
+    @property
+    def leaves(self) -> tuple[int, ...]:
+        """The nodes that are no node's parent, in node order."""
+        parents = set(self.parent)
+        return tuple(i for i in range(self.n_nodes) if i not in parents)
 
     @property
     def root(self) -> int:
@@ -72,9 +78,10 @@ class HierTree:
         return path[::-1]
 
     def validate_against(self, groups: list[tuple[int, ...]]) -> None:
-        """Check that every node reaches the root and the nesting/partition
-        invariants with respect to group member sets."""
-        root = self.root
+        """Check that every node reaches the one root, that each node's
+        children partition its member set, and hence that the leaves
+        partition the root's."""
+        self.root  # raises unless there is exactly one root
         for node in range(self.n_nodes):
             self.path_to_root(node)
         for i, par in enumerate(self.parent):
@@ -93,13 +100,6 @@ class HierTree:
             total = sum(len(s) for s in member_sets)
             if union != set(groups[self.node_group[node]]) or total != len(union):
                 raise DataError(f"children of node {node} do not partition its member set")
-        leaf_union: set[int] = set()
-        leaf_total = 0
-        for leaf in self.leaves:
-            leaf_union |= set(groups[self.node_group[leaf]])
-            leaf_total += len(groups[self.node_group[leaf]])
-        if leaf_union != set(groups[self.node_group[root]]) or leaf_total != len(leaf_union):
-            raise DataError("leaves do not partition the root's member set")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,9 @@ class Grouping:
     """A named collection of covariate index groups covering ``{0..p-1}``.
 
     Groups are stored as sorted tuples of 0-based indices.  An optional
-    hierarchy links the groups as a tree of nested member sets.
+    hierarchy links the groups as a tree of nested member sets.  The
+    grouping is the handle of its co-data source: :attr:`entries`, its
+    co-data matrix, is built at first use and kept.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -154,35 +156,27 @@ class Grouping:
             counts[list(g)] += 1
         return counts
 
-
-@dataclass(frozen=True)
-class CoDataMatrix:
-    """p x G membership-averaging matrix: entry (k, g) is 1/|I_k| if k is in group g."""
-
-    entries: np.ndarray
-    membership_counts: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_groups(self) -> int:
-        return self.entries.shape[1]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The co-data matrix of :func:`build_codata_matrix`, built once per
+        grouping and read-only."""
+        Z = build_codata_matrix(self)
+        Z.flags.writeable = False
+        return Z
 
 
-def build_codata_matrix(grouping: Grouping) -> CoDataMatrix:
-    """Build the membership-averaging matrix of a grouping.
+def build_codata_matrix(grouping: Grouping) -> np.ndarray:
+    """Build the p x G membership-averaging matrix of a grouping.
 
-    Rows sum to one: a covariate in m groups contributes 1/m to each of its
-    group columns, pooling group weights by averaging.
+    Entry (k, g) is 1/m_k if covariate k is in group g, with m_k the number
+    of groups holding k.  Rows sum to one: group weights pool by averaging.
     """
     counts = grouping.membership_counts()  # all positive: a Grouping covers every covariate
     Z = np.zeros((grouping.p, grouping.n_groups))
     for g_idx, g in enumerate(grouping.groups):
         idx = np.asarray(g)
         Z[idx, g_idx] = 1.0 / counts[idx]
-    return CoDataMatrix(entries=Z, membership_counts=counts)
+    return Z
 
 
 @dataclass(frozen=True)
@@ -297,18 +291,7 @@ def build_hierarchy_from_continuous(
     else:
         recurse(order, root, True)
 
-    n_nodes = len(groups)
-    has_child = [False] * n_nodes
-    for par in parent:
-        if par is not None:
-            has_child[par] = True
-    leaves = tuple(i for i in range(n_nodes) if not has_child[i])
-
-    tree = HierTree(
-        node_group=tuple(range(n_nodes)),
-        parent=tuple(parent),
-        leaves=leaves,
-    )
+    tree = HierTree(node_group=tuple(range(len(groups))), parent=tuple(parent))
     if missing.size:
         groups.append(tuple(sorted(missing.tolist())))
     grouping = Grouping(groups=tuple(groups), p=p, name=name, tree=tree)
@@ -344,21 +327,17 @@ def load_grouping_json(path: str, p: int, name: str | None = None) -> Grouping:
 
     tree = None
     if parent_map is not None:
+        if not isinstance(parent_map, dict) or not all(
+            isinstance(par, str) for par in parent_map.values()
+        ):
+            raise DataError(f'{path}: "parent" must map group names to group names')
         name_to_idx = {n: i for i, n in enumerate(group_names)}
         parent: list[int | None] = [None] * len(group_names)
         for child, par in parent_map.items():
             if child not in name_to_idx or par not in name_to_idx:
                 raise DataError(f"{path}: parent map references unknown group")
             parent[name_to_idx[child]] = name_to_idx[par]
-        has_child = [False] * len(group_names)
-        for par in parent:
-            if par is not None:
-                has_child[par] = True
-        tree = HierTree(
-            node_group=tuple(range(len(group_names))),
-            parent=tuple(parent),
-            leaves=tuple(i for i in range(len(group_names)) if not has_child[i]),
-        )
+        tree = HierTree(node_group=tuple(range(len(group_names))), parent=tuple(parent))
     return Grouping(groups=tuple(groups), p=p, name=name or "grouping", tree=tree)
 
 

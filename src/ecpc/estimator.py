@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.special import expit
 
-from .codata import CoDataMatrix, Grouping, build_codata_matrix
+from .codata import Grouping
 from .errors import DataError
 from .glm import (
     PenaltyState,
@@ -29,13 +29,7 @@ from .glm import (
     fit_weighted_ridge,
     moment_weights,
 )
-from .hypershrinkage import (
-    KINDS,
-    HyperLambda,
-    estimate_hyperlambda,
-    group_size_scaling,
-    solve_hyper,
-)
+from .hypershrinkage import KINDS, HyperLambda, estimate_hyperlambda, solve_hyper
 from .mom import (
     MomentSystem,
     build_grouping_weight_system,
@@ -84,23 +78,23 @@ class FittedModel:
 
 
 def combine_local_variances(
-    codata_matrices: list[CoDataMatrix],
+    groupings: list[Grouping],
     gammas: list[np.ndarray],
     w: np.ndarray,
 ) -> np.ndarray:
     """Per-covariate local variance: co-data-weighted sum of group weights.
 
     Covariates in several groups of one grouping get the membership average
-    built into the co-data matrix entries.
+    built into the grouping's co-data matrix, ``grouping.entries``.
     """
-    if not (len(codata_matrices) == len(gammas) == len(w)):
-        raise DataError("need one co-data matrix and weight vector per source")
-    p = codata_matrices[0].entries.shape[0]
+    if not (len(groupings) == len(gammas) == len(w)):
+        raise DataError("need one grouping and weight vector per source")
+    p = groupings[0].p
     tau_local = np.zeros(p)
-    for Z, gamma, wd in zip(codata_matrices, gammas, w):
-        if Z.entries.shape[0] != p:
-            raise DataError("co-data matrices disagree on the covariate count")
-        tau_local += wd * (Z.entries @ np.asarray(gamma, dtype=float))
+    for grouping, gamma, wd in zip(groupings, gammas, w):
+        if grouping.p != p:
+            raise DataError("groupings disagree on the covariate count")
+        tau_local += wd * (grouping.entries @ np.asarray(gamma, dtype=float))
     if (tau_local < 0).any():
         warnings.warn("negative local variances floored at zero", stacklevel=2)
         tau_local = np.maximum(tau_local, 0.0)
@@ -208,12 +202,11 @@ def fit_ecpc(
     core = compute_moment_core(X_aug, W, omega0, fit0.beta, rows=rows)
 
     # step 2: per co-data source, hyperpenalty strength then group weights
-    codata_matrices = [build_codata_matrix(g) for g in codata_list]
     gammas: list[np.ndarray] = []
     hyperlambdas: list[float] = []
     tuning: list[dict] = []
     moments: list[dict] = []
-    for d, (grouping, Z, kind) in enumerate(zip(codata_list, codata_matrices, kinds)):
+    for d, (grouping, kind) in enumerate(zip(codata_list, kinds)):
         if forced_hyperlambda is None:  # kind none: strength 0, untuned
             choice = estimate_hyperlambda(
                 grouping,
@@ -221,18 +214,14 @@ def fit_ecpc(
                 penalty_kind=kind,
                 n_splits=n_splits,
                 seed=seed + 1000 * (d + 1),
-                tree=grouping.tree,
                 tau_global=tau_global,
-                Z=Z,
             )
         else:
             choice = HyperLambda(0.0 if kind == "none" else float(forced_hyperlambda))
-        # the route planned at Z's first use: by the tuning, or here if untuned
-        moments.append({"route": core.plan(Z), "rank": core.rank})
-        system = build_variance_system(core, Z, grouping, tau_global=tau_global)
-        (gw,) = solve_hyper(
-            [system], kind, choice.lam, [group_size_scaling(grouping)], tree=grouping.tree
-        )
+        # the route planned at the grouping's first use: by the tuning, or here
+        moments.append({"route": core.plan(grouping), "rank": core.rank})
+        system = build_variance_system(core, grouping, tau_global=tau_global)
+        (gw,) = solve_hyper([system], kind, choice.lam, [grouping.sizes], tree=grouping.tree)
         gammas.append(gw.gamma)
         hyperlambdas.append(choice.lam)
         tuning.append(
@@ -250,9 +239,7 @@ def fit_ecpc(
         w = np.ones(1)
         source_weights = {"w": [1.0], "residual": None}
     else:
-        w_system = build_grouping_weight_system(
-            core, codata_matrices, codata_list, gammas, tau_global
-        )
+        w_system = build_grouping_weight_system(core, codata_list, gammas, tau_global)
         w = solve_grouping_weights(w_system)
         source_weights = {
             "w": w.tolist(),
@@ -265,7 +252,7 @@ def fit_ecpc(
             )
             w = np.full(len(codata_list), 1.0 / len(codata_list))
 
-    tau_local = combine_local_variances(codata_matrices, gammas, w)
+    tau_local = combine_local_variances(codata_list, gammas, w)
     group_sparse = any(kind in SPARSE_KINDS for kind in kinds)
     dropped = tau_local <= 0
     if dropped.all():

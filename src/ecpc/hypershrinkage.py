@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codata import (
-    CoDataMatrix,
-    Grouping,
-    HierTree,
-    build_codata_matrix,
-    split_groups_random,
-)
+from .codata import Grouping, HierTree, split_groups_random
 from .errors import ConvergenceError, DataError
 from .glm import elastic_net_cd
 from .mom import MomentCore, MomentSystem, build_split_systems
@@ -44,7 +38,6 @@ from .mom import MomentCore, MomentSystem, build_split_systems
 __all__ = [
     "HyperLambda",
     "GroupWeights",
-    "group_size_scaling",
     "solve_ridge_hyper",
     "solve_lasso_hyper",
     "solve_hierarchical_lasso",
@@ -78,11 +71,6 @@ class HyperLambda:
     n_grid_extensions: int = 0
     grid: tuple[float, ...] = ()
     mean_rss: tuple[float, ...] = ()
-
-
-def group_size_scaling(grouping: Grouping) -> np.ndarray:
-    """Diagonal scaling of the weight penalty: one entry per group, its size."""
-    return grouping.sizes.astype(float)
 
 
 def solve_ridge_hyper(
@@ -402,9 +390,7 @@ def estimate_hyperlambda(
     n_splits: int = 10,
     seed: int = 0,
     grid: np.ndarray | None = None,
-    tree: HierTree | None = None,
     tau_global: float = 1.0,
-    Z: CoDataMatrix | None = None,
 ) -> HyperLambda:
     """Tune the hyperpenalty strength by random in/out group splits.
 
@@ -416,9 +402,8 @@ def estimate_hyperlambda(
     extensions, the search stops with a warning and returns the value at the
     winner's index in the grid extended once more.  The result also carries
     every scored candidate and its mean score.  The in-half systems of
-    one candidate are solved in one :func:`solve_hyper` call.  ``Z`` is the
-    grouping's co-data matrix; passing the caller's own lets the core reuse
-    what it keeps for that matrix.
+    one candidate are solved in one :func:`solve_hyper` call, under the
+    grouping's hierarchy if it has one.
     """
     if penalty_kind == "none":
         return HyperLambda(0.0)
@@ -428,15 +413,11 @@ def estimate_hyperlambda(
     if grid.size == 0:
         raise DataError("empty hyperpenalty grid")
 
-    if Z is None:
-        Z = build_codata_matrix(grouping)
-    core.plan(Z, n_splits)
+    core.plan(grouping, n_splits)
     systems_in, systems_out, sizes_in = [], [], []
     for s in range(n_splits):
         split = split_groups_random(grouping, seed=seed + s)
-        sys_in, sys_out = build_split_systems(
-            core, grouping, split, Z=Z, tau_global=tau_global
-        )
+        sys_in, sys_out = build_split_systems(core, grouping, split, tau_global=tau_global)
         systems_in.append(sys_in)
         systems_out.append(sys_out)
         sizes = np.array([len(part) for part in split.in_groups], dtype=float)
@@ -444,7 +425,9 @@ def estimate_hyperlambda(
 
     def mean_rss(lam):
         try:
-            fits = solve_hyper(systems_in, penalty_kind, float(lam), sizes_in, tree=tree)
+            fits = solve_hyper(
+                systems_in, penalty_kind, float(lam), sizes_in, tree=grouping.tree
+            )
         except ConvergenceError:
             return np.inf
         resids = [s.A @ gw.gamma - s.b for s, gw in zip(systems_out, fits)]

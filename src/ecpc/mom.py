@@ -11,12 +11,13 @@ One penalised solve gives ``Y = M^{-1} X' W^{1/2}`` (p x r, with r = n);
 with ``R = W^{1/2} X`` that is ``C = Y R`` and ``v = rowsums(Y o Y)``, so C
 has rank at most r.  Every variance-type system entry sums, over the members
 k of a member set h (a group, a half-group or a group of another source),
-the rows of ``(C o C) Z``.  With ``Y_k`` the k-th row of Y, each such sum is
-the inner product of two r x r Gram matrices:
+the rows of ``(C o C) Z``, with ``Z = grouping.entries`` the co-data matrix
+of a source.  With ``Y_k`` the k-th row of Y, each such sum is the inner
+product of two r x r Gram matrices:
 
     sum_{k in h} ((C o C) Z)[k, g] = < sum_{k in h} Y_k Y_k',  R diag(Z_g) R' >
 
-Two routes build the sums of one co-data matrix Z (G columns, p covariates):
+Two routes build the sums of one source's Z (G columns, p covariates):
 
 - *direct*: stream C once in row blocks, keep ``(C o C) Z`` (p x G) and add
   up its rows per set; about ``p^2 (r + G)`` flops.
@@ -28,8 +29,8 @@ Two routes build the sums of one co-data matrix Z (G columns, p covariates):
 The right-hand sides average ``beta_tilde^2 - v`` over the same sets.  A
 split's out-half sums, of both, are its group sums minus its in-half sums,
 so a split pair costs Grams for the in-halves only.  ``_route`` compares
-the two flop counts once per co-data matrix, given how many split pairs
-will be built from it, and the core keeps what the chosen route needs.  The
+the two flop counts once per grouping, given how many split pairs will be
+built from it, and the core keeps what the chosen route needs.  The
 routes agree to rounding.  Only the penalised block enters (columns of
 unpenalised covariates are unit vectors and decouple from the group
 systems).
@@ -44,7 +45,7 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 
-from .codata import CoDataMatrix, GroupSplit, Grouping, build_codata_matrix
+from .codata import GroupSplit, Grouping
 from .errors import DataError
 from .glm import _RowSpace, solve_penalized_system
 
@@ -63,7 +64,7 @@ ROW_BLOCK = 1024
 
 
 def _route(n_pen: int, r: int, nnz: int, n_groups: int, n_splits: int) -> str:
-    """The route with fewer flops for one co-data matrix's systems.
+    """The route with fewer flops for one grouping's systems.
 
     ``n_pen`` penalised covariates, factor rank ``r``, and a co-data matrix
     with ``n_groups`` columns and ``nnz`` nonzeros, from which the variance
@@ -79,17 +80,18 @@ def _route(n_pen: int, r: int, nnz: int, n_groups: int, n_splits: int) -> str:
 
 @dataclass
 class _CoDataTerms:
-    """What a route keeps for one co-data matrix.
+    """What a route keeps for one grouping.
 
     ``terms`` is ``(C o C) Z`` over the penalised block (direct route) or the
-    group Grams ``R diag(Z_g) R'`` flattened to rows (Gram route).  ``Z``
-    itself is held so that its ``id`` cannot be reused by another matrix.
+    group Grams ``R diag(Z_g) R'`` flattened to rows (Gram route), and
+    ``group_sums`` the sums over the grouping's groups, once formed.  The
+    grouping itself is held so that its ``id`` cannot be reused by another.
     """
 
-    Z: CoDataMatrix
+    grouping: Grouping
     route: str
     terms: np.ndarray
-    group_sums: dict = field(default_factory=dict)
+    group_sums: np.ndarray | None = None
 
 
 @dataclass
@@ -97,8 +99,8 @@ class MomentCore:
     """Variance vector and initial estimate of a ridge fit, with C in factors.
 
     ``C = _Y @ _R`` with ``_Y = M^{-1} X' W^{1/2}`` and ``_R = W^{1/2} X``;
-    the systems only read its penalised block.  What each co-data matrix's
-    systems need is kept per matrix object (see :meth:`plan`).
+    the systems only read its penalised block.  What each grouping's
+    systems need is kept per grouping object (see :meth:`plan`).
     """
 
     beta_tilde: np.ndarray
@@ -146,20 +148,21 @@ class MomentCore:
             rows = np.arange(start, min(start + ROW_BLOCK, len(pen)))
             yield rows, self._Y[pen[rows]] @ Rc
 
-    def plan(self, Z: CoDataMatrix, n_splits: int = 0) -> str:
-        """Choose the route for the systems of ``Z`` and build what it keeps.
+    def plan(self, grouping: Grouping, n_splits: int = 0) -> str:
+        """Choose the route for the systems of ``grouping`` and build what it
+        keeps.
 
-        The choice is made once per matrix object, at its first use, for a
+        The choice is made once per grouping object, at its first use, for a
         variance system plus ``n_splits`` split pairs; later calls return it.
         """
-        return self._terms(Z, n_splits).route
+        return self._terms(grouping, n_splits).route
 
-    def _terms(self, Z: CoDataMatrix, n_splits: int = 0) -> _CoDataTerms:
-        """What :meth:`plan` keeps for ``Z``, built at the first call."""
-        kept = self._codata.get(id(Z))
+    def _terms(self, grouping: Grouping, n_splits: int = 0) -> _CoDataTerms:
+        """What :meth:`plan` keeps for ``grouping``, built at the first call."""
+        kept = self._codata.get(id(grouping))
         if kept is not None:
             return kept
-        Zm = _checked_entries(self, Z)
+        Zm = _checked_entries(self, grouping)
         pen = self.pen_idx
         cols = [np.flatnonzero(Zm[:, g]) for g in range(Zm.shape[1])]
         nnz = sum(len(c) for c in cols)
@@ -173,7 +176,7 @@ class MomentCore:
             for g, members in enumerate(cols):
                 R_g = self._R[:, pen[members]]
                 terms[g] = ((R_g * Zm[members, g]) @ R_g.T).ravel()
-        kept = self._codata[id(Z)] = _CoDataTerms(Z, route, terms)
+        kept = self._codata[id(grouping)] = _CoDataTerms(grouping, route, terms)
         return kept
 
     def _set_grams(self, member_sets) -> np.ndarray:
@@ -185,10 +188,10 @@ class MomentCore:
             out[i] = (Y_h.T @ Y_h).ravel()
         return out
 
-    def _sums(self, Z: CoDataMatrix, member_sets) -> np.ndarray:
+    def _sums(self, grouping: Grouping, member_sets) -> np.ndarray:
         """Sums over each member set of the rows of ``(C o C) Z`` and, in a
         last column, of ``beta_tilde^2 - v`` (H x (G + 1))."""
-        kept = self._terms(Z)
+        kept = self._terms(grouping)
         P = _indicator(member_sets, self.n_pen)
         resid_sums = P @ _beta_sq_minus_v(self)
         if kept.route == "direct":
@@ -197,18 +200,19 @@ class MomentCore:
             sums = self._set_grams(member_sets) @ kept.terms.T
         return np.column_stack([sums, resid_sums])
 
-    def _group_sums(self, Z: CoDataMatrix, groups) -> np.ndarray:
-        """:meth:`_sums` over whole groups, kept for the systems that reuse it."""
-        kept = self._terms(Z).group_sums
-        if groups not in kept:
-            kept[groups] = self._sums(Z, groups)
-        return kept[groups]
+    def _group_sums(self, grouping: Grouping) -> np.ndarray:
+        """:meth:`_sums` over the grouping's groups, kept for the systems that
+        reuse it."""
+        kept = self._terms(grouping)
+        if kept.group_sums is None:
+            kept.group_sums = self._sums(grouping, grouping.groups)
+        return kept.group_sums
 
 
-def _checked_entries(core: MomentCore, Z: CoDataMatrix) -> np.ndarray:
-    if Z.entries.shape[0] != core.n_pen:
+def _checked_entries(core: MomentCore, grouping: Grouping) -> np.ndarray:
+    if grouping.p != core.n_pen:
         raise DataError("co-data matrix rows must match the penalised covariate count")
-    return Z.entries
+    return grouping.entries
 
 
 def compute_moment_core(X, W, precision_diag, beta_tilde, *, rows=None) -> MomentCore:
@@ -274,36 +278,30 @@ def _beta_sq_minus_v(core: MomentCore) -> np.ndarray:
 
 def build_variance_system(
     core: MomentCore,
-    Z: CoDataMatrix,
     grouping: Grouping,
     tau_global: float = 1.0,
 ) -> MomentSystem:
     """Second-moment system whose unknowns are the group prior weights.
 
-    ``A[g,h] = tau_global / |G_g| * sum_{k in G_g} sum_l C_kl^2 Z[l,h]`` and
+    ``A[g,h] = tau_global / |G_g| * sum_{k in G_g} sum_l C_kl^2 Z[l,h]``,
+    with ``Z = grouping.entries``, and
     ``b[g]`` averages ``beta_tilde^2 - v`` over group ``g``.  With the
     default ``tau_global=1`` this is the raw group-averaged system; passing
     the estimated global variance puts the unknowns on the local-variance
     scale with non-informative target 1.
     """
     groups = grouping.groups
-    if any(len(g) == 0 for g in groups):
-        raise DataError("empty group in variance system")
     labels = [f"{grouping.name}:{g}" for g in range(len(groups))]
-    return _averaged(core._group_sums(Z, groups), groups, labels, tau_global)
+    return _averaged(core._group_sums(grouping), groups, labels, tau_global)
 
 
-def build_mean_system(
-    core: MomentCore,
-    Z: CoDataMatrix,
-    grouping: Grouping,
-) -> MomentSystem:
+def build_mean_system(core: MomentCore, grouping: Grouping) -> MomentSystem:
     """First-moment system for group prior means: ``A = P C Z``.
 
     ``P`` averages over each group; ``C Z`` comes from the factors of C,
     ``Y (R Z)``, summed over each group's rows first.
     """
-    Zm = _checked_entries(core, Z)
+    Zm = _checked_entries(core, grouping)
     pen = core.pen_idx
     groups = grouping.groups
     P = _indicator(groups, core.n_pen)
@@ -318,7 +316,6 @@ def build_split_systems(
     core: MomentCore,
     grouping: Grouping,
     split: GroupSplit,
-    Z: CoDataMatrix | None = None,
     tau_global: float = 1.0,
 ) -> tuple[MomentSystem, MomentSystem]:
     """Variance systems restricted to the in- and out-halves of each group.
@@ -329,12 +326,10 @@ def build_split_systems(
     in-half's.  A group with an empty half has its equation dropped from
     that half's system, with a warning.
     """
-    if Z is None:
-        Z = build_codata_matrix(grouping)
     if not _halves_partition(split, grouping):
         raise DataError("split halves must partition the grouping's groups")
-    sums_in = core._sums(Z, split.in_groups)
-    sums_out = core._group_sums(Z, grouping.groups) - sums_in
+    sums_in = core._sums(grouping, split.in_groups)
+    sums_out = core._group_sums(grouping) - sums_in
 
     def restricted(parts, sums, tag):
         keep = [g for g, part in enumerate(parts) if len(part) > 0]
@@ -367,7 +362,6 @@ def _halves_partition(split: GroupSplit, grouping: Grouping) -> bool:
 
 def build_grouping_weight_system(
     core: MomentCore,
-    codata_matrices: list[CoDataMatrix],
     groupings: list[Grouping],
     gamma_hats: list[np.ndarray],
     tau_global: float,
@@ -380,20 +374,20 @@ def build_grouping_weight_system(
     ``tau_global * A_pool[:, block d] @ gamma_hat_d``.  On the Gram route
     that column takes one Gram ``sum_g gamma_g R diag(Z_g) R'`` per source.
     """
-    if not (len(codata_matrices) == len(groupings) == len(gamma_hats)):
-        raise DataError("one co-data matrix and weight vector per grouping required")
-    for Z, grouping, gam in zip(codata_matrices, groupings, gamma_hats):
-        if Z.n_groups != len(gam):
+    if len(groupings) != len(gamma_hats):
+        raise DataError("one weight vector per grouping required")
+    for grouping, gam in zip(groupings, gamma_hats):
+        if grouping.n_groups != len(gam):
             raise DataError(
-                f"grouping '{grouping.name}': {Z.n_groups} groups but "
+                f"grouping '{grouping.name}': {grouping.n_groups} groups but "
                 f"{len(gam)} fitted weights"
             )
     groups = [members for grouping in groupings for members in grouping.groups]
     P = _indicator(groups, core.n_pen)
     set_grams = None
     columns = []
-    for Z, gam in zip(codata_matrices, gamma_hats):
-        kept = core._terms(Z)
+    for grouping, gam in zip(groupings, gamma_hats):
+        kept = core._terms(grouping)
         gam = np.asarray(gam, dtype=float)
         if kept.route == "direct":
             columns.append(P @ (kept.terms @ gam))

@@ -215,14 +215,21 @@ def posterior_sds(model: FittedModel, X, resp: ResponseFamily) -> np.ndarray:
     With prior precisions ``delta``, ``Xt = W^{1/2} X diag(delta)^{-1/2}``
     and ``Xt Xt' = U D^2 U'`` (``glm._RowSpace``), the posterior variances
     are ``(1 - rowsum((Xt'U)^2 / (D^2 + 1))) / delta``: exact for the
-    gaussian family, a curvature-at-the-mode approximation otherwise.
+    gaussian family, a curvature-at-the-mode approximation otherwise.  An
+    unpenalised intercept is integrated out: projecting ``W^{1/2} 1`` out
+    of ``Xt`` gives the Schur complement of its block in the posterior
+    precision.
     """
     X = np.asarray(X, dtype=float)
     resp = _with_model_sigma2(resp, model)
     tau_loc = np.maximum(model.tau_local, TAU_LOCAL_FLOOR)
     delta = 1.0 / (model.tau_global * tau_loc)
     w = moment_weights(resp, X @ model.beta + model.intercept)
-    Xt = np.sqrt(w)[:, None] * X / np.sqrt(delta)[None, :]
+    sw = np.sqrt(w)
+    Xt = sw[:, None] * X / np.sqrt(delta)[None, :]
+    if model.has_intercept:
+        u = sw / np.linalg.norm(sw)
+        Xt -= np.outer(u, u @ Xt)
     rows = _RowSpace(Xt @ Xt.T, X[:, :0])
     inner = 1.0 - ((Xt.T @ rows.U) ** 2 / (rows.d**2 + 1.0)).sum(axis=1)
     sd = np.sqrt(np.clip(inner, 0.0, None)) / np.sqrt(delta)

@@ -14,7 +14,6 @@ from ecpc import (
     HierTree,
     ResponseFamily,
     breslow_cumhaz,
-    build_codata_matrix,
     compute_moment_core,
     fit_ecpc,
     fit_weighted_ridge,
@@ -30,7 +29,7 @@ from ecpc import (
 )
 from ecpc.cli import _simulate_one, auc_mann_whitney
 from ecpc.glm import PenaltyState, family_loglik
-from ecpc.hypershrinkage import group_size_scaling, lasso_null_threshold
+from ecpc.hypershrinkage import lasso_null_threshold
 from ecpc.mom import (
     MomentSystem,
     build_grouping_weight_system,
@@ -96,7 +95,7 @@ def test_criterion_2_monte_carlo_moment_identity():
     n, p, G, sims = 40, 60, 2, 2000
     sigma2 = 1.0
     grouping = disjoint_grouping(p, G)
-    Z = build_codata_matrix(grouping).entries
+    Z = grouping.entries
     tau2_groups = np.array([0.3, 0.05])
     tau_cov = Z @ tau2_groups
 
@@ -166,16 +165,15 @@ def test_criterion_3_dense_algebra_oracles():
         w = rng.uniform(0.5, 2.0, n)
         omega = rng.uniform(0.5, 3.0, p)
         grouping = disjoint_grouping(p, G)
-        Zm = build_codata_matrix(grouping)
-        Z = Zm.entries
+        Z = grouping.entries
 
         beta_t = rng.standard_normal(p)
         core = compute_moment_core(X, w, omega, beta_t)
         C_ref, v_ref, A_tau_ref, A_mu_ref, b_tau_ref, b_mu_ref = naive_quantities(
             X, w, omega, beta_t, Z, grouping
         )
-        sys_tau = build_variance_system(core, Zm, grouping)
-        sys_mu = build_mean_system(core, Zm, grouping)
+        sys_tau = build_variance_system(core, grouping)
+        sys_mu = build_mean_system(core, grouping)
         worst = max(
             worst,
             np.abs(core.C - C_ref).max(),
@@ -188,7 +186,7 @@ def test_criterion_3_dense_algebra_oracles():
         # pooled source-weight matrix for two duplicated sources
         gam = rng.uniform(0.5, 2.0, G)
         W_sys = build_grouping_weight_system(
-            core, [Zm, Zm], [grouping, grouping], [gam, gam], tau_global=1.7
+            core, [grouping, grouping], [gam, gam], tau_global=1.7
         )
         # rows are pooled over both sources' groups; with identical sources
         # each column repeats tau^2 * A_tau @ gamma stacked twice
@@ -267,7 +265,6 @@ def _criterion_4_problem():
     tree = HierTree(
         node_group=(0, 1, 3, 4, 2, 5, 6),
         parent=(None, 0, 1, 1, 0, 4, 4),
-        leaves=(2, 3, 5, 6),
     )
     return sys, W, tree
 
@@ -283,8 +280,7 @@ def test_criterion_5_unpenalised_decoupling():
     w = rng.uniform(0.5, 2.0, n)
     omega = rng.uniform(0.5, 3.0, p)
     grouping = disjoint_grouping(p, G)
-    Zm = build_codata_matrix(grouping)
-    Z = Zm.entries
+    Z = grouping.entries
     beta_t = rng.standard_normal(p + 1)
 
     # augmented design: an unpenalised intercept column appended
@@ -311,7 +307,7 @@ def test_criterion_5_unpenalised_decoupling():
     # penalised block equals the system built from penalised rows and columns
     # of the augmented core alone.  (The intercept's own equation row need not
     # vanish, but it is never used.)
-    sys_pen = build_variance_system(core_aug, Zm, grouping)
+    sys_pen = build_variance_system(core_aug, grouping)
     block_err = np.abs(A_ext[:G, :G] - sys_pen.A).max()
     col_err = np.abs(A_ext[:G, G]).max()
     ok = block_err <= 1e-10 and col_err <= 1e-10

@@ -269,6 +269,32 @@ class TestFitCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"continuous": "v.csv", "min_group_size": "two"}, "min_group_size"),
+            ({"continuous": "v.csv", "initial_threshold": "half"}, "initial_threshold"),
+            ({"g0": list(range(1, 11)), "g1": list(range(11, 21)), "parent": ["g0"]}, "parent"),
+            ({"continuous": 99999}, "continuous"),  # not a file descriptor to open
+        ],
+        ids=["min_group_size", "initial_threshold", "parent", "continuous"],
+    )
+    def test_malformed_codata_spec_exit_2(self, tmp_path, capsys, monkeypatch, spec, key):
+        xp, yp, *_ = make_dataset(tmp_path)
+        write_csv(str(tmp_path / "v.csv"), ["value"], [[float(j)] for j in range(20)])
+        monkeypatch.chdir(tmp_path)
+        cp = tmp_path / "spec.json"
+        cp.write_text(json.dumps(spec))
+        rc = main(
+            [
+                "--command", "fit", "--x", xp, "--y", yp, "--codata", str(cp),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f'"{key}"' in err
+
     def test_missing_required_args_exit_2(self, capsys):
         assert main(["--command", "fit"]) == 2
 

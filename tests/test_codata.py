@@ -22,21 +22,28 @@ def grp(groups, p, **kw):
 
 class TestCoDataMatrix:
     def test_disjoint_indicator(self):
-        Z = build_codata_matrix(grp([(0, 1), (2, 3)], 4)).entries
+        Z = build_codata_matrix(grp([(0, 1), (2, 3)], 4))
         assert np.array_equal(Z, [[1, 0], [1, 0], [0, 1], [0, 1]])
 
     def test_overlap_averages_membership(self):
-        Z = build_codata_matrix(grp([(0, 1), (1, 2)], 3)).entries
+        Z = build_codata_matrix(grp([(0, 1), (1, 2)], 3))
         assert np.array_equal(Z[1], [0.5, 0.5])
 
     def test_single_covering_group_is_ones_column(self):
-        Z = build_codata_matrix(grp([tuple(range(5))], 5)).entries
+        Z = build_codata_matrix(grp([tuple(range(5))], 5))
         assert Z.shape == (5, 1)
         assert np.array_equal(Z, np.ones((5, 1)))
 
     def test_membership_counts(self):
-        cd = build_codata_matrix(grp([(0, 1), (1, 2), (1, 3)], 4))
-        assert np.array_equal(cd.membership_counts, [1, 3, 1, 1])
+        g = grp([(0, 1), (1, 2), (1, 3)], 4)
+        assert np.array_equal(g.membership_counts(), [1, 3, 1, 1])
+
+    def test_grouping_keeps_its_entries(self):
+        g = grp([(0, 1), (1, 2), (1, 3)], 4)
+        assert g.entries is g.entries
+        assert np.array_equal(g.entries, build_codata_matrix(g))
+        with pytest.raises(ValueError, match="read-only"):
+            g.entries[0, 0] = 2.0
 
     def test_uncovered_covariate_rejected(self):
         with pytest.raises(CoverageError, match="3"):
@@ -63,7 +70,7 @@ class TestCoDataMatrix:
             for g in rng.choice(n_groups, size=rng.integers(1, n_groups + 1), replace=False):
                 groups[g].add(k)
         groups = [g for g in groups if g]
-        Z = build_codata_matrix(grp(groups, p)).entries
+        Z = build_codata_matrix(grp(groups, p))
         assert np.allclose(Z.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -156,6 +163,23 @@ class TestContinuousHierarchy:
         expected = sorted(range(20), key=lambda k: (vals[k], k))
         assert order == expected
 
+    def test_json_leaves_are_the_childless_nodes(self, tmp_path):
+        # nodes in file order, not preorder: the leaves keep that order
+        path = tmp_path / "g.json"
+        doc = {
+            "a1": [1, 2],
+            "all": [1, 2, 3, 4, 5, 6],
+            "a": [1, 2, 3, 4],
+            "b": [5, 6],
+            "a2": [3, 4],
+            "parent": {"a1": "a", "a": "all", "b": "all", "a2": "a"},
+        }
+        path.write_text(json.dumps(doc))
+        g = load_grouping_json(str(path), p=6)
+        assert g.tree.leaves == (0, 3, 4)
+        members = sorted(k for leaf in g.tree.leaves for k in g.groups[leaf])
+        assert members == list(g.groups[g.tree.root])
+
     def test_nan_values_get_extra_group(self):
         vals = np.array([0.1, np.nan, 0.5, 0.2, np.nan, 0.9])
         grouping, tree = build_hierarchy_from_continuous(vals, min_group_size=2)
@@ -235,6 +259,6 @@ class TestHierTreeValidation:
         from ecpc import HierTree
 
         g = grp([(0, 1, 2, 3), (0, 1), (2, 3), (1, 2)], 4)
-        tree = HierTree(node_group=(0, 1, 3), parent=(None, 0, 0), leaves=(1, 2))
+        tree = HierTree(node_group=(0, 1, 3), parent=(None, 0, 0))
         with pytest.raises(DataError):
             tree.validate_against(list(g.groups))

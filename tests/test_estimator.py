@@ -14,7 +14,7 @@ from ecpc import (
     solve_grouping_weights,
 )
 from ecpc import ConvergenceError, glm, hypershrinkage
-from ecpc.codata import build_codata_matrix, build_hierarchy_from_continuous
+from ecpc.codata import build_hierarchy_from_continuous
 from ecpc.estimator import TAU_LOCAL_FLOOR
 from ecpc.glm import PenaltyState, estimate_global_variance, fit_weighted_ridge
 from ecpc.hypershrinkage import solve_hierarchical_lasso
@@ -38,23 +38,20 @@ def gaussian_data(seed=0, n=60, p=30, G=3, tau2=0.5, sigma2=1.0):
 class TestCombineLocalVariances:
     def test_single_source_passthrough(self):
         g = disjoint_grouping(4, 2)
-        Z = build_codata_matrix(g)
-        out = combine_local_variances([Z], [np.array([2.0, 5.0])], np.ones(1))
+        out = combine_local_variances([g], [np.array([2.0, 5.0])], np.ones(1))
         assert np.allclose(out, [2, 2, 5, 5])
 
     def test_overlap_membership_average(self):
         g = Grouping(groups=((0, 1), (1, 2)), p=3)
-        Z = build_codata_matrix(g)
-        out = combine_local_variances([Z], [np.array([2.0, 4.0])], np.ones(1))
+        out = combine_local_variances([g], [np.array([2.0, 4.0])], np.ones(1))
         # covariate 1 belongs to both groups: average of 2 and 4
         assert np.allclose(out, [2.0, 3.0, 4.0])
 
     def test_two_sources_weighted(self):
         g1 = disjoint_grouping(4, 2, "a")
         g2 = Grouping(groups=((0, 1, 2, 3),), p=4, name="b")
-        Z1, Z2 = build_codata_matrix(g1), build_codata_matrix(g2)
         out = combine_local_variances(
-            [Z1, Z2],
+            [g1, g2],
             [np.array([1.0, 3.0]), np.array([2.0])],
             np.array([0.3, 0.7]),
         )
@@ -62,15 +59,13 @@ class TestCombineLocalVariances:
 
     def test_mismatched_lengths(self):
         g = disjoint_grouping(4, 2)
-        Z = build_codata_matrix(g)
         with pytest.raises(DataError):
-            combine_local_variances([Z], [np.ones(2), np.ones(2)], np.ones(2))
+            combine_local_variances([g], [np.ones(2), np.ones(2)], np.ones(2))
 
     def test_negative_combination_floored(self):
         g = disjoint_grouping(4, 2)
-        Z = build_codata_matrix(g)
         with pytest.warns(UserWarning, match="floored"):
-            out = combine_local_variances([Z], [np.array([-1.0, 2.0])], np.ones(1))
+            out = combine_local_variances([g], [np.array([-1.0, 2.0])], np.ones(1))
         assert np.allclose(out, [0, 0, 2, 2])
 
 

@@ -21,7 +21,6 @@ from ecpc.hypershrinkage import (
     KINDS,
     _fista_latents,
     _latent_layout,
-    group_size_scaling,
     lasso_null_threshold,
     solve_hyper,
 )
@@ -38,7 +37,6 @@ def rand_system(seed, G):
 BALANCED_TREE = HierTree(
     node_group=(0, 1, 3, 4, 2, 5, 6),
     parent=(None, 0, 1, 1, 0, 4, 4),
-    leaves=(2, 3, 5, 6),
 )
 
 
@@ -139,11 +137,11 @@ def solve_capped(systems, Ws, lam, max_iter):
 class TestSizeScaling:
     def test_sizes(self):
         g = Grouping(groups=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9, 10)), p=11)
-        assert np.array_equal(group_size_scaling(g), [5.0, 6.0])
+        assert np.array_equal(g.sizes, [5.0, 6.0])
 
     def test_single_group(self):
         g = Grouping(groups=(tuple(range(7)),), p=7)
-        assert np.array_equal(group_size_scaling(g), [7.0])
+        assert np.array_equal(g.sizes, [7.0])
 
     def test_equal_sizes_cancel_in_argmin(self):
         # with equal group sizes the scaling is a scalar multiple of the
@@ -732,17 +730,17 @@ def _codata_hier_problem(seed=5, n=60, p=60):
     y = X @ beta + rng.standard_normal(n)
     annotation = np.abs(beta) + rng.normal(0.0, 0.1, p)
     annotation[:2] = np.nan
-    hier, tree = build_hierarchy_from_continuous(annotation, min_group_size=12)
+    hier, _ = build_hierarchy_from_continuous(annotation, min_group_size=12)
     part = Grouping(groups=tuple(map(tuple, np.array_split(rng.permutation(p), 6))), p=p)
     omega = np.full(p, 1.0)
     beta_hat = np.linalg.solve(X.T @ X + np.diag(omega), X.T @ y)
-    return compute_moment_core(X, np.ones(n), omega, beta_hat), hier, tree, part
+    return compute_moment_core(X, np.ones(n), omega, beta_hat), hier, part
 
 
 class TestSearchScreening:
     def test_same_choice_without_screening(self, monkeypatch):
         # screening may change how a candidate is solved, never its score
-        core, hier, tree, part = _codata_hier_problem()
+        core, hier, part = _codata_hier_problem()
         fista_rows = []
         fista = hypershrinkage._fista_latents
 
@@ -754,7 +752,7 @@ class TestSearchScreening:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a grid-boundary end
                 return [
-                    estimate_hyperlambda(hier, core, "hierarchical_lasso", 5, tree=tree),
+                    estimate_hyperlambda(hier, core, "hierarchical_lasso", 5),
                     estimate_hyperlambda(part, core, "lasso", 5),
                 ]
 

@@ -10,7 +10,6 @@ from ecpc import (
     Grouping,
     MomentCore,
     ResponseFamily,
-    build_codata_matrix,
     build_grouping_weight_system,
     build_mean_system,
     build_split_systems,
@@ -163,8 +162,7 @@ class TestVarianceSystem:
         X, w, omega, beta = rand_instance(5, 8, 6)
         core = compute_moment_core(X, w, omega, beta)
         g = Grouping(groups=(tuple(range(6)),), p=6)
-        Z = build_codata_matrix(g)
-        sys = build_variance_system(core, Z, g)
+        sys = build_variance_system(core, g)
         assert sys.A.shape == (1, 1)
         assert np.isclose(sys.A[0, 0], (core.C**2).sum() / 6, atol=1e-10)
         assert np.isclose(sys.b[0], (beta**2 - core.v).mean(), atol=1e-10)
@@ -179,12 +177,11 @@ class TestVarianceSystem:
             ((0, 1, 2, 3, 4, 5, 6), (0, 2, 4), (1, 2, 3), (5,)),
         ]:
             g = Grouping(groups=groups, p=7)
-            Z = build_codata_matrix(g)
-            A_ref = naive_variance_A(core.C, Z.entries, g.groups)
+            A_ref = naive_variance_A(core.C, g.entries, g.groups)
             # one block per pass, then blocks of three rows
             for row_block in (mom.ROW_BLOCK, 3):
                 monkeypatch.setattr(mom, "ROW_BLOCK", row_block)
-                sys = build_variance_system(compute_moment_core(X, w, omega, beta), Z, g)
+                sys = build_variance_system(compute_moment_core(X, w, omega, beta), g)
                 assert np.allclose(sys.A, A_ref, atol=1e-10)
                 assert (sys.A >= -1e-14).all()
 
@@ -192,9 +189,8 @@ class TestVarianceSystem:
         X, w, omega, beta = rand_instance(7, 8, 5)
         core = compute_moment_core(X, w, omega, beta)
         g = Grouping(groups=((0, 1, 2), (3, 4)), p=5)
-        Z = build_codata_matrix(g)
-        s1 = build_variance_system(core, Z, g, tau_global=1.0)
-        s2 = build_variance_system(core, Z, g, tau_global=0.25)
+        s1 = build_variance_system(core, g, tau_global=1.0)
+        s2 = build_variance_system(core, g, tau_global=0.25)
         assert np.allclose(s2.A, 0.25 * s1.A, atol=1e-12)
         assert np.allclose(s2.b, s1.b, atol=1e-12)
 
@@ -204,8 +200,7 @@ class TestMeanSystem:
         X, w, omega, beta = rand_instance(10, 8, 6)
         core = compute_moment_core(X, w, omega, beta)
         g = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=6)
-        Z = build_codata_matrix(g)
-        sys = build_mean_system(core, Z, g)
+        sys = build_mean_system(core, g)
         assert np.allclose(sys.b, [beta[:3].mean(), beta[3:].mean()], atol=1e-12)
 
     def test_orthonormal_uniform_case(self):
@@ -215,8 +210,7 @@ class TestMeanSystem:
         beta = rng.standard_normal(4)
         core = compute_moment_core(Q, np.ones(10), np.full(4, lam), beta)
         g = Grouping(groups=(tuple(range(4)),), p=4)
-        Z = build_codata_matrix(g)
-        sys = build_mean_system(core, Z, g)
+        sys = build_mean_system(core, g)
         assert np.isclose(sys.A[0, 0], 1.0 / (1 + lam), atol=1e-10)
         assert np.isclose(sys.b[0], beta.mean(), atol=1e-12)
 
@@ -224,12 +218,11 @@ class TestMeanSystem:
         X, w, omega, beta = rand_instance(12, 9, 6)
         core = compute_moment_core(X, w, omega, beta)
         g = Grouping(groups=((0, 1, 2, 3), (2, 4, 5)), p=6)
-        Z = build_codata_matrix(g)
-        sys = build_mean_system(core, Z, g)
+        sys = build_mean_system(core, g)
         A_ref = np.zeros((2, 2))
         for gi, members in enumerate(g.groups):
             for k in members:
-                A_ref[gi] += core.C[k, :] @ Z.entries
+                A_ref[gi] += core.C[k, :] @ g.entries
             A_ref[gi] /= len(members)
         assert np.allclose(sys.A, A_ref, atol=1e-10)
 
@@ -242,7 +235,7 @@ class TestSplitSystems:
         split = GroupSplit(in_groups=g.groups, out_groups=((), ()), seed=0)
         with pytest.warns(UserWarning):
             sys_in, _ = build_split_systems(core, g, split)
-        full = build_variance_system(core, build_codata_matrix(g), g)
+        full = build_variance_system(core, g)
         assert np.allclose(sys_in.A, full.A, atol=1e-12)
         assert np.allclose(sys_in.b, full.b, atol=1e-12)
 
@@ -252,7 +245,7 @@ class TestSplitSystems:
         g = Grouping(groups=((0, 1), (2, 3)), p=4)
         split = GroupSplit(in_groups=((0,), (2,)), out_groups=((1,), (3,)), seed=0)
         sys_in, sys_out = build_split_systems(core, g, split)
-        Z = build_codata_matrix(g).entries
+        Z = g.entries
         assert np.allclose(sys_in.A, [(core.C[0] ** 2) @ Z, (core.C[2] ** 2) @ Z], atol=1e-12)
         assert np.allclose(
             sys_out.b,
@@ -266,7 +259,7 @@ class TestSplitSystems:
         g = Grouping(groups=((0, 1, 2, 3, 4), (5, 6, 7)), p=8)
         split = split_groups_random(g, seed=3)
         sys_in, sys_out = build_split_systems(core, g, split)
-        full = build_variance_system(core, build_codata_matrix(g), g)
+        full = build_variance_system(core, g)
         for gi in range(2):
             n_in = len(split.in_groups[gi])
             n_out = len(split.out_groups[gi])
@@ -282,11 +275,10 @@ class TestGroupingWeightSystem:
     def test_single_source_column(self):
         core, p = self.setup_core()
         g = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=p)
-        Z = build_codata_matrix(g)
         gamma = np.array([0.7, 2.0])
         tau = 0.3
-        sys = build_grouping_weight_system(core, [Z], [g], [gamma], tau)
-        full = build_variance_system(core, Z, g, tau_global=tau)
+        sys = build_grouping_weight_system(core, [g], [gamma], tau)
+        full = build_variance_system(core, g, tau_global=tau)
         assert sys.A.shape == (2, 1)
         assert np.allclose(sys.A[:, 0], full.A @ gamma, atol=1e-10)
         assert np.allclose(sys.b, full.b, atol=1e-12)
@@ -294,28 +286,23 @@ class TestGroupingWeightSystem:
     def test_duplicated_source_identical_columns(self):
         core, p = self.setup_core(seed=17)
         g = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=p)
-        Z = build_codata_matrix(g)
         gamma = np.array([1.2, 0.4])
-        sys = build_grouping_weight_system(core, [Z, Z], [g, g], [gamma, gamma], 0.5)
+        sys = build_grouping_weight_system(core, [g, g], [gamma, gamma], 0.5)
         assert sys.A.shape == (4, 2)
         assert np.allclose(sys.A[:, 0], sys.A[:, 1], atol=1e-12)
 
     def test_two_source_block_assembly(self):
         core, p = self.setup_core(seed=18)
         g1 = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=p, name="a")
-        Z1 = build_codata_matrix(g1)
         gam1 = np.array([0.5, 1.5])
         tau = 0.8
         # disjoint, then overlapping second source
         for groups2 in [((0, 3), (1, 4), (2, 5)), ((0, 1, 3), (1, 4), (2, 4, 5), (0, 5))]:
             g2 = Grouping(groups=groups2, p=p, name="b")
-            Z2 = build_codata_matrix(g2)
             gam2 = np.array([2.0, 0.1, 1.0, 0.6])[: len(groups2)]
-            sys = build_grouping_weight_system(
-                core, [Z1, Z2], [g1, g2], [gam1, gam2], tau
-            )
+            sys = build_grouping_weight_system(core, [g1, g2], [gam1, gam2], tau)
             # hand-assembled: pooled rows over all groups, block columns
-            Z_all = np.hstack([Z1.entries, Z2.entries])
+            Z_all = np.hstack([g1.entries, g2.entries])
             all_groups = list(g1.groups) + list(g2.groups)
             A_pool = naive_variance_A(core.C, Z_all, all_groups)
             A_ref = np.column_stack(
@@ -326,11 +313,8 @@ class TestGroupingWeightSystem:
     def test_dimension_mismatch(self):
         core, p = self.setup_core(seed=19)
         g = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=p)
-        Z = build_codata_matrix(g)
-        from ecpc import DataError
-
         with pytest.raises(DataError):
-            build_grouping_weight_system(core, [Z], [g], [np.ones(3)], 1.0)
+            build_grouping_weight_system(core, [g], [np.ones(3)], 1.0)
 
 
 def _random_grouping(rng, p, kind, name="grouping"):
@@ -349,14 +333,13 @@ def _systems_by_route(route, X, w, omega, beta, groupings, splits, gammas, tau):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mom, "_route", lambda *args: route)
         core = compute_moment_core(X, w, omega, beta)
-        Zs = [build_codata_matrix(g) for g in groupings]
-        systems = [build_variance_system(core, Zs[0], groupings[0], tau_global=tau)]
+        systems = [build_variance_system(core, groupings[0], tau_global=tau)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for split in splits:
-                systems += build_split_systems(core, groupings[0], split, Zs[0], tau)
-        systems.append(build_grouping_weight_system(core, Zs, groupings, gammas, tau))
-        assert all(core.plan(Z) == route for Z in Zs)
+                systems += build_split_systems(core, groupings[0], split, tau)
+        systems.append(build_grouping_weight_system(core, groupings, gammas, tau))
+        assert all(core.plan(g) == route for g in groupings)
     return systems, [str(m.message) for m in caught]
 
 
@@ -481,21 +464,36 @@ class TestPassesOverC:
         assert weight_system_passes == ([] if n_sources == 1 else [0])
         assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}] * n_sources
 
+    def test_systems_of_one_grouping_stream_C_once(self, monkeypatch):
+        # the core keeps what it streamed per grouping: every later system of
+        # the same grouping reads it, whoever builds the system
+        passes = _count_passes(monkeypatch)
+        X, w, omega, beta = rand_instance(26, 30, 60)
+        core = compute_moment_core(X, w, omega, beta)
+        g = _equal_groups(60, 4)
+        first = build_variance_system(core, g)
+        assert core.plan(g) == "direct"
+        again = build_variance_system(core, g, tau_global=0.5)
+        build_split_systems(core, g, split_groups_random(g, seed=0))
+        assert len(passes) == 1
+        assert np.array_equal(again.A, 0.5 * first.A)
+
     def test_split_systems_allocate_no_p_by_G_block(self):
         # the Gram route keeps G group Grams and forms G in-half Grams, r x r
         # each with r = n, next to O(p) index and residual vectors; a p x G
-        # product alone (160 000 floats) would be 2.5 times the bound
+        # product alone (160 000 floats) would be 2.5 times the bound; the
+        # grouping's own co-data matrix is built before the trace
         n, p, G = 20, 4000, 40
         X, w, omega, beta = rand_instance(25, n, p)
         core = compute_moment_core(X, w, omega, beta)
         g = _equal_groups(p, G)
-        Z = build_codata_matrix(g)
+        assert g.entries.shape == (p, G)
         splits = [split_groups_random(g, seed=s) for s in range(3)]
         tracemalloc.start()
         try:
-            assert core.plan(Z, n_splits=len(splits)) == "gram"
+            assert core.plan(g, n_splits=len(splits)) == "gram"
             for split in splits:
-                build_split_systems(core, g, split, Z=Z)
+                build_split_systems(core, g, split)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -511,17 +509,15 @@ class TestUnpenalizedDecoupling:
         omega = rng.uniform(0.5, 2.0, p)
         beta = rng.standard_normal(p)
         g = Grouping(groups=((0, 1, 2), (3, 4, 5)), p=p)
-        Z = build_codata_matrix(g)
-
         core_plain = compute_moment_core(X, w, omega, beta)
-        sys_plain = build_variance_system(core_plain, Z, g)
+        sys_plain = build_variance_system(core_plain, g)
 
         # identical fit, intercept column appended and unpenalised
         X_aug = np.hstack([X, np.ones((n, 1))])
         core_aug = compute_moment_core(
             X_aug, w, np.concatenate([omega, [0.0]]), np.concatenate([beta, [0.3]])
         )
-        sys_aug = build_variance_system(core_aug, Z, g)
+        sys_aug = build_variance_system(core_aug, g)
         # the systems are not expected to be equal (the fit changes), but the
         # penalised-block decoupling means the unpenalised column contributes
         # nothing: check by zeroing the intercept's influence explicitly

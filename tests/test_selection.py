@@ -177,6 +177,34 @@ class TestPosteriorSds:
         assert np.abs(sd - np.sqrt(np.diag(Sigma))).max() < 1e-8
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_intercept_matches_direct_inversion(self, family, seed):
+        # the penalised sds are the diagonal of the inverse (p + 1) x (p + 1)
+        # posterior precision, whose intercept entry is unpenalised
+        rng = np.random.default_rng(40 + seed)
+        n, p = 30, 20
+        X = rng.standard_normal((n, p)) + rng.uniform(-1.0, 1.0, p)
+        lp = 1.5 + X[:, :3].sum(axis=1)
+        if family == "gaussian":
+            resp = ResponseFamily.gaussian(lp + rng.standard_normal(n))
+        else:
+            pr = 1.0 / (1.0 + np.exp(-lp / 3.0))
+            resp = ResponseFamily.binomial((rng.uniform(size=n) < pr).astype(float))
+        model = fit_ecpc(X, resp, [disjoint_grouping(p, 4)], intercept=True)
+        sd = posterior_sds(model, X, resp)
+        lp = X @ model.beta + model.intercept
+        if family == "gaussian":
+            w = np.full(n, 1.0 / model.sigma2)
+        else:
+            pr = 1.0 / (1.0 + np.exp(-lp))
+            w = pr * (1.0 - pr)
+        X1 = np.hstack([X, np.ones((n, 1))])
+        prec = np.append(1.0 / (model.tau_global * np.maximum(model.tau_local, 1e-6)), 0.0)
+        Sigma = np.linalg.inv(X1.T @ (w[:, None] * X1) + np.diag(prec))
+        ref = np.sqrt(np.diag(Sigma)[:p])
+        assert np.abs(sd / ref - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("n,p", [(40, 25), (30, 30), (20, 70)])
     def test_matches_svd_formula(self, family, n, p):
         # the n x n Gram's eigendecomposition gives the standard deviations
@@ -198,6 +226,8 @@ class TestPosteriorSds:
             pr = 1.0 / (1.0 + np.exp(-lp))
             w = pr * (1.0 - pr)
         Xt = np.sqrt(w)[:, None] * X / np.sqrt(delta)
+        u = np.sqrt(w) / np.linalg.norm(np.sqrt(w))  # the intercept, integrated out
+        Xt -= np.outer(u, u @ Xt)
         _, d, Vt = np.linalg.svd(Xt, full_matrices=False)
         inner = 1.0 - (Vt.T**2 * (d**2 / (d**2 + 1.0))).sum(axis=1)
         ref = np.sqrt(inner / delta)
