@@ -181,15 +181,25 @@ def load_codata_spec(path: str, p: int, index: int) -> Grouping:
 
 
 def _spec_number(path: str, doc: dict, key: str, kind):
-    """``doc[key]`` converted by ``kind`` (int or float), None if absent."""
+    """``doc[key]`` converted by ``kind`` (int or float), None if absent.
+
+    A JSON boolean is not a number, and an int must be whole: ``10``,
+    ``10.0`` and ``"10"`` give 10, ``2.7`` is an error.
+    """
     value = doc.get(key)
     if value is None:
         return None
+    what = "an integer" if kind is int else "a number"
+    error = DataError(f'{path}: "{key}" must be {what}, not {value!r}')
+    if isinstance(value, bool):
+        raise error
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise DataError(f'{path}: "{key}" must be {what}, not {value!r}') from exc
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error from exc
+    if kind is int and not number.is_integer():
+        raise error
+    return kind(number)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +322,6 @@ def _fit_from_args(args, X, resp, codata, hyper):
         hyper=hyper,
         intercept=args.intercept,
         n_splits=args.splits,
-        n_folds=args.folds,
         seed=args.seed,
     )
 
@@ -339,7 +348,6 @@ def cmd_fit(args) -> int:
         ["grouping", "group", "gamma", "hyperlambda", "w"],
         rows,
     )
-    gv_record = model.diagnostics["global_variance"]
     with open(os.path.join(args.out, "fit.log"), "w") as fh:
         fh.write(
             f"family={model.family} n={X.shape[0]} p={X.shape[1]} "
@@ -347,8 +355,7 @@ def cmd_fit(args) -> int:
             f"converged={model.diagnostics.get('converged')} "
             f"iterations={model.diagnostics.get('iterations')} "
             f"initial_iterations={model.diagnostics.get('initial_iterations')} "
-            f"cv_points_fitted={gv_record['n_points_fitted']} "
-            f"cv_newton_steps={gv_record['newton_steps']}\n"
+            f"gv_newton_steps={model.diagnostics['global_variance']['newton_steps']}\n"
         )
         for name, rec in zip(model.grouping_names, model.diagnostics["moments"]):
             fh.write(f"moments grouping={name} route={rec['route']} rank={rec['rank']}\n")
@@ -381,7 +388,6 @@ def cmd_cv(args) -> int:
             hyper=hyper,
             intercept=args.intercept,
             n_splits=args.splits,
-            n_folds=min(args.folds, int(train.sum())),
             seed=args.seed + k + 1,
         )
         n_sel = ""
@@ -430,7 +436,7 @@ def _simulate_one(seed, n, p, G, informative, n_splits):
         model = fit_ecpc(X, resp, [grouping], hyper=hyper, n_splits=n_splits, seed=seed)
         out[label] = float(((predict(model, Xt) - yt) ** 2).mean())
 
-    gv = estimate_global_variance(X, resp, seed=seed)
+    gv = estimate_global_variance(X, resp)
     state = PenaltyState.uniform(gv.tau_global, p)
     fit = fit_weighted_ridge(X, resp.with_sigma2(gv.sigma2), state)
     out["ridge"] = float(((Xt @ fit.beta - yt) ** 2).mean())
@@ -529,7 +535,6 @@ def cmd_stability(args) -> int:
             hyper=hyper,
             intercept=args.intercept,
             n_splits=args.splits,
-            n_folds=min(args.folds, len(sub)),
             seed=args.seed + rep,
         )
         res = _run_select(method, count, mode, model, X[sub], resp.subset(sub))
@@ -593,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KINDS,
         help="hypershrinkage kind, one per --codata (default ridge)",
     )
-    ap.add_argument("--folds", type=int, default=10)
+    ap.add_argument("--folds", type=int, default=10, help="cv: the number of outer folds")
     ap.add_argument("--splits", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--select", help="posterior selection: method:count:mode")

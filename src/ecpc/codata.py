@@ -318,9 +318,9 @@ def load_grouping_json(path: str, p: int, name: str | None = None) -> Grouping:
             raise DataError(f"{path}: group '{gname}' must be a non-empty index array")
         zero_based = []
         for v in idx:
-            if not isinstance(v, int) or v < 1 or v > p:
+            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= p:
                 raise DataError(
-                    f"{path}: group '{gname}' has index {v!r} outside 1..{p}"
+                    f"{path}: group '{gname}' has index {v!r}, not an integer in 1..{p}"
                 )
             zero_based.append(v - 1)
         groups.append(tuple(zero_based))

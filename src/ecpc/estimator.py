@@ -160,7 +160,10 @@ def fit_ecpc(
     split-based tuning and uses the given strength for every source but
     those of kind ``none``, which is always 0 (mainly for the
     non-informative limit and for tests).  A cox fit takes no
-    intercept: the partial likelihood does not depend on one.
+    intercept: the partial likelihood does not depend on one.  ``n_folds``
+    is accepted and ignored: the global variance is a marginal-likelihood
+    estimate, which needs no folds, and callers written for the earlier
+    cross-validated estimate still pass it.
     """
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
@@ -184,9 +187,7 @@ def fit_ecpc(
         unpen_mask[-1] = True
 
     # step 1: global prior variance (and noise variance for gaussian)
-    gv = estimate_global_variance(
-        X_aug, resp, n_folds=n_folds, seed=seed, unpenalized_mask=unpen_mask
-    )
+    gv = estimate_global_variance(X_aug, resp, unpenalized_mask=unpen_mask)
     tau_global = gv.tau_global
     resp_fit = resp.with_sigma2(gv.sigma2) if resp.family == "gaussian" else resp
 
@@ -310,14 +311,10 @@ def fit_ecpc(
             "initial_iterations": int(fit0.iterations),
             "n_dropped": int((~keep).sum()),
             "global_variance": {
-                "lambda_star": gv.lambda_star,
+                "tau_global": gv.tau_global,
+                "log_tau_grid": gv.grid.tolist(),
+                "objective": gv.scores.tolist(),
                 "on_grid_boundary": gv.on_grid_boundary,
-                "n_points_fitted": (
-                    0 if gv.cv_scores is None else int((~np.isnan(gv.cv_scores)).sum())
-                ),
-                "n_scores_neg_inf": (
-                    0 if gv.cv_scores is None else int(np.isneginf(gv.cv_scores).sum())
-                ),
                 "newton_steps": gv.newton_steps,
             },
             "hyperlambda": tuning,

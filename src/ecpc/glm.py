@@ -559,22 +559,20 @@ def _signed_newton(cols, wcols, r, b, pen, ridge, lam1):
     return b
 
 
-STOP_BELOW_BEST = 5  # CV grid points below the best mean: one decade
-
-
 @dataclass
 class GlobalVariance:
-    """A global-variance estimate; ``on_grid_boundary``: its search ended on
-    the boundary of its grid (see :func:`estimate_global_variance`)."""
+    """A global-variance estimate and its search: the scored ``grid`` of
+    log tau2, the objective there (``scores``, +inf where a fit failed),
+    whether the search ended on an end of the grid, and the Newton steps of
+    all its fits, capped ones included."""
 
     tau_global: float
-    sigma2: float | None = None
-    lambda_star: float | None = None
-    grid: np.ndarray | None = None
-    cv_scores: np.ndarray | None = None  # NaN at points the CV walk did not reach
-    newton_steps: int = 0  # of all cross-validation fits, capped ones included
-    on_grid_boundary: bool = False
-    gram: np.ndarray | None = field(default=None, repr=False)  # X_P X_P'
+    sigma2: float | None
+    grid: np.ndarray
+    scores: np.ndarray
+    on_grid_boundary: bool
+    newton_steps: int
+    gram: np.ndarray = field(repr=False)  # X_P X_P'
 
 
 def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarray:
@@ -597,39 +595,23 @@ def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarra
     return assign
 
 
-def estimate_global_variance(
-    X,
-    resp: ResponseFamily,
-    n_folds: int = 10,
-    seed: int = 0,
-    folds=None,
-    unpenalized_mask=None,
-) -> GlobalVariance:
+def estimate_global_variance(X, resp: ResponseFamily, unpenalized_mask=None) -> GlobalVariance:
     """Estimate the overall prior variance with all local variances at 1.
 
-    Gaussian: maximises the marginal likelihood of ``y ~ N(0, sigma2 I +
-    tau2 X X')``; with u unpenalised columns, that of the n - u error
-    contrasts ``N'y``, ``N`` an orthonormal basis of their span's complement
-    (REML).  In the eigenbasis of the Gram, ``y`` has variances ``sigma2 v``,
-    ``v = 1 + kappa d``: one search in ``log kappa``, ``kappa = tau2 /
-    sigma2``, with sigma2 profiled out as ``mean(u^2 / v)`` unless supplied.
-    It scores 33 points of the bracket ``kappa mean(d) in [1e-8, 1e8]``,
-    which moves with X -> cX as kappa does, and refines an interior best
-    point by bounded Brent between its neighbours.  A best end point is the
-    estimate and sets ``on_grid_boundary``: the upper end is a sigma2
-    collapse, the lower end no signal.  Binomial/cox: stratified
-    k-fold cross-validation over a log-spaced grid of total penalty levels,
-    maximising the mean held-out log-likelihood; ``tau2 = 1 / lambda_star``.
-    The walk goes down the grid from the largest penalty and, at each one,
-    advances every fold's warm-started path by one fit (see
-    :class:`_FoldPath`).  Of equal means the smaller penalty is the best.
-    The walk stops :data:`STOP_BELOW_BEST` points (one decade) below the
-    best mean so far once that best lies above the mean at the largest
-    penalty, or at the first point whose mean is -inf: a fit that fails to
-    converge, or meets a singular system, scores -inf.  ``cv_scores`` is
-    NaN at the points the walk did not reach.  If no point has a finite
-    mean, it raises :class:`ConvergenceError`.  Either search warns when it
-    ends on the boundary of its grid.
+    Empirical Bayes for every family: one search (:func:`_minimise`) for
+    the maximum of a marginal likelihood of ``tau2`` under ``beta_P ~ N(0,
+    tau2 I)``, on the bracket ``tau2 mean(d) in [1e-8, 1e8]`` (``d``: the
+    penalised Gram's eigenvalues), which moves with X -> cX as ``tau2`` does.
+    Gaussian: the exact likelihood of ``y ~ N(0, sigma2 I + tau2 X X')``;
+    with u unpenalised columns, that of the n - u error contrasts ``N'y``,
+    ``N`` an orthonormal basis of their span's complement (REML).  In the
+    eigenbasis of the contrasts' Gram, ``y`` has variances ``sigma2 v``,
+    ``v = 1 + kappa d``: the search runs in ``log kappa``, ``kappa = tau2 /
+    sigma2``, with sigma2 profiled out as ``mean(u^2 / v)`` unless
+    supplied.  Its upper end is a sigma2 collapse, its lower end no signal.
+    Binomial/cox: the Laplace approximation (Wood, JRSS-B 2011) ``l(beta) -
+    0.5 |beta_P|^2 / tau2 - 0.5 log det(X_P' W X_P [- G'G] + I / tau2) +
+    0.5 log det(I / tau2)`` at the fit, in ``log tau2`` (:class:`_LaplaceScore`).
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -642,95 +624,67 @@ def estimate_global_variance(
         raise DataError("X contains non-finite entries")
     if not X.any():
         raise DataError("degenerate X: all entries are zero")
+    if resp.family == "binomial" and resp.y.min() == resp.y.max():
+        raise DataError(f"binomial response has a single class: all {n} samples are {resp.y[0]:g}")
 
     Xp = X[:, ~mask]
     K = Xp @ Xp.T  # the Gram of the penalised columns, returned
-    if resp.family == "gaussian":
-        y, gram = resp.y, K
-        if mask.any():  # the error contrasts N'y, of Gram N'KN
-            N = np.linalg.qr(X[:, mask], mode="complete")[0][:, mask.sum() :]
-            y, gram = N.T @ y, N.T @ K @ N
-        d, Q = np.linalg.eigh(gram)
-        d = np.clip(d, 0.0, None)
-        if d.max() <= 0:
+    if resp.family != "gaussian":
+        if not K.trace() > 0:
             raise DataError("degenerate X: zero spectrum")
-        u2 = (Q.T @ y) ** 2
+        laplace = _LaplaceScore(K, X[:, mask], resp)
+        log_tau, grid, scores, boundary = _minimise(laplace, -math.log(K.trace() / n))
+        return GlobalVariance(math.exp(log_tau), None, grid, scores, boundary, laplace.steps, K)
 
-        def nll(log_kappa):  # per contrast, less constants
-            v = 1.0 + np.multiply.outer(np.exp(log_kappa), d)
-            q = (u2 / v).mean(axis=-1)
-            s2 = q if resp.sigma2 is None else resp.sigma2
-            return np.log(s2) + np.log(v).mean(axis=-1) + q / s2
+    y, gram = resp.y, K
+    if mask.any():  # the error contrasts N'y, of Gram N'KN
+        N = np.linalg.qr(X[:, mask], mode="complete")[0][:, mask.sum() :]
+        y, gram = N.T @ y, N.T @ K @ N
+    d, Q = np.linalg.eigh(gram)
+    d = np.clip(d, 0.0, None)
+    if d.max() <= 0:
+        raise DataError("degenerate X: zero spectrum")
+    u2 = (Q.T @ y) ** 2
 
-        grid = np.linspace(-1.0, 1.0, 33) * math.log(1e8) - math.log(d.mean())
-        best = 0  # zero contrasts, sigma2 profiled: sigma2 = 0 at every kappa
-        if resp.sigma2 is not None or u2.any():
-            best = int(np.argmin(nll(grid)))
-        log_kappa = grid[best]
-        if 0 < best < len(grid) - 1:
-            log_kappa = minimize_scalar(
-                nll, bounds=(grid[best - 1], grid[best + 1]), method="bounded"
-            ).x
-        kappa = math.exp(log_kappa)
-        s2 = resp.sigma2 or float(np.mean(u2 / (1.0 + kappa * d)))
-        gv = GlobalVariance(kappa * s2, s2, on_grid_boundary=best in (0, len(grid) - 1), gram=K)
-        return _flag_boundary(gv)
+    def profile(log_kappa):  # v and q = mean(u^2 / v), the profiled sigma2
+        v = 1.0 + np.multiply.outer(np.exp(log_kappa), d)
+        return v, (u2 / v).mean(axis=-1)
 
-    grid = np.logspace(-4, 6, 50)
-    if folds is None:
-        folds = stratified_folds(resp, n_folds, seed)
-    folds = np.asarray(folds)
-    fold_ids = np.unique(folds)
-    if len(fold_ids) < 2:
-        raise DataError("cross-validation needs at least 2 folds")
-    X_unpen = X[:, mask]
-    paths = []
-    for f in fold_ids:
-        test = folds == f
-        train = ~test
-        if resp.family == "binomial" and len(np.unique(resp.y[train])) < 2:
-            raise DataError(f"fold {f} leaves a single class in the training split")
-        path = _FoldPath(K, X_unpen, train, resp.subset(train), resp.subset(test))
-        paths.append((path, train.sum()))
-    mean_scores = np.full(len(grid), np.nan)
-    best = len(grid) - 1
-    for k in range(len(grid) - 1, -1, -1):
-        # scale the total penalty by the fold's sample fraction so the
-        # per-observation regularisation matches the full-data level
-        fold_scores = np.array([path.score(grid[k] * m / n) for path, m in paths])
-        mean_scores[k] = fold_scores.mean()
-        if mean_scores[k] >= mean_scores[best]:
-            best = k
-        # a mean that has only fallen from the largest penalty, the null
-        # end, has not turned yet: it may rise further down
-        turned = mean_scores[best] > mean_scores[-1]
-        if np.isneginf(mean_scores[k]) or (turned and best - k == STOP_BELOW_BEST):
-            break
-    if not np.isfinite(mean_scores[best]):
-        failed = fold_ids[np.isneginf(fold_scores)]
+    def nll(log_kappa):  # per contrast, less constants
+        if resp.sigma2 is None and not u2.any():  # sigma2 = 0 at every kappa: flat
+            return np.zeros(np.shape(log_kappa))
+        v, q = profile(log_kappa)
+        s2 = q if resp.sigma2 is None else resp.sigma2
+        return np.log(s2) + np.log(v).mean(axis=-1) + q / s2
+
+    log_kappa, grid, scores, boundary = _minimise(nll, -math.log(d.mean()))
+    kappa = math.exp(log_kappa)
+    s2 = resp.sigma2 or float(np.mean(u2 / (1.0 + kappa * d)))
+    with np.errstate(divide="ignore"):  # zero contrasts: sigma2 = tau2 = 0
+        log_tau = grid + np.log(resp.sigma2 or profile(grid)[1])
+    return GlobalVariance(kappa * s2, s2, log_tau, scores, boundary, 0, K)
+
+
+def _minimise(objective, centre):
+    """Minimise ``objective`` over 33 points spanning ``centre +- log(1e8)``,
+    scored in one call, then by bounded Brent between an interior best
+    point's neighbours.  Of equal scores the first is the best; a best end
+    point is the minimiser and sets the boundary flag, after a warning.
+    Returns the minimiser, the grid, its scores and the flag; raises
+    :class:`ConvergenceError` if no score is finite."""
+    grid = centre + np.linspace(-1.0, 1.0, 33) * math.log(1e8)
+    scores = objective(grid)
+    if not np.isfinite(scores).any():
         raise ConvergenceError(
-            f"global-variance cross-validation: fold {failed[0]} failed at the "
-            f"largest penalty {grid[-1]:g}, so no penalty has a finite mean score"
+            "global-variance search: no point of its grid has a finite objective"
         )
-    lam_star = float(grid[best])
-    gv = GlobalVariance(
-        tau_global=1.0 / lam_star,
-        sigma2=None,
-        lambda_star=lam_star,
-        grid=grid,
-        cv_scores=mean_scores,
-        newton_steps=sum(path.steps for path, _ in paths),
-        on_grid_boundary=best in (0, len(grid) - 1),
-        gram=K,
-    )
-    return _flag_boundary(gv)
-
-
-def _flag_boundary(gv: GlobalVariance) -> GlobalVariance:
-    """``gv``, after a warning if its search ended on the boundary of its grid."""
-    if gv.on_grid_boundary:
+    best = int(np.argmin(scores))
+    boundary = best in (0, len(grid) - 1)
+    if boundary:
         warnings.warn("global-variance optimum on the grid boundary", stacklevel=3)
-    return gv
+        return grid[best], grid, scores, boundary
+    x = minimize_scalar(objective, bounds=(grid[best - 1], grid[best + 1]), method="bounded").x
+    return x, grid, scores, boundary
 
 
 class _RowSpace:
@@ -793,43 +747,67 @@ class _RowSpace:
         return np.concatenate([self.U_by_d.T @ lp, beta[~self.pen]])
 
 
-class _FoldPath:
-    """One fold's warm-started path of uniform-penalty ridge fits, scored by
-    the held-out log-likelihood.
+class _LaplaceScore:
+    """Minus the Laplace log marginal likelihood of binomial/cox
+    :func:`estimate_global_variance`, at one ``log tau2`` or on the grid.
 
-    From ``K = X_P X_P'`` over all n samples, the unpenalised columns
-    ``X_unpen`` and the training rows, the fits run on the :class:`_RowSpace`
-    design of ``K[tr, tr]`` and are scored on the held-out rows ``[K[te, tr]
-    U D^{-1} | X_unpen[te]]``; both designs are kept, at most ``n m``
-    doubles.  (The stop rule reads these coordinates' score, so a slowly
-    converging fit may stop a step apart from one on the full design.)
-    ``steps`` counts the Newton steps of all fits; a fit stopped by the
-    iteration cap counts its steps, one stopped by a singular system none.
+    On the :class:`_RowSpace` design of ``K = X_P X_P'``, its first block
+    scaled by ``sqrt(tau2)``, the fit at unit penalty on ``alpha_P`` is the
+    fit of ``X`` at the precision ``1 / tau2``.  The objective is ``-l +
+    0.5 |alpha_P|^2 + 0.5 log det(Z_P' W Z_P [- G'G] + I)``, the p_P x p_P
+    form, as ``alpha_P -> beta_P`` is ``sqrt(tau2)`` times an isometry.
+    The unpenalised coefficients stay at their estimate: integrated under a
+    flat prior they would add ``-0.5 log`` of their information, unbounded
+    as a binomial fit separates its classes.  Each fit is warm-started from
+    the linear predictor of the nearest scored point.  A failed fit (no
+    convergence, a singular system, an overflow) or determinant scores
+    +inf; the grid is fitted from its smallest tau2 up to its first +inf,
+    the rest score +inf unfitted.  ``steps`` counts the Newton steps of all
+    fits.
     """
 
-    def __init__(self, K, X_unpen, train, resp_tr, resp_te):
-        test = ~train
-        rows = _RowSpace(K[np.ix_(train, train)], X_unpen[train])
-        self.Z_tr = rows.Z
-        self.Z_te = np.hstack([K[np.ix_(test, train)] @ rows.U_by_d, X_unpen[test]])
-        self.mask = rows.omega == 0
-        self.resp_tr, self.resp_te = resp_tr, resp_te
-        self.beta = None
+    def __init__(self, K, X_unpen, resp):
+        self.rows = _RowSpace(K, X_unpen)
+        self.resp = resp
+        self.fits = []  # (log tau2, coordinates on [U D | X_U]) of every converged fit
         self.steps = 0
 
-    def score(self, penalty) -> float:
-        """Fit at ``penalty``, warm-started from the last successful fit, and
-        return its held-out log-likelihood; -inf if the fit fails to
-        converge or meets a singular system.  Call with decreasing
-        penalties."""
-        state = PenaltyState.uniform(1.0 / penalty, len(self.mask), self.mask)
+    def __call__(self, log_tau):
+        if not np.ndim(log_tau):
+            return self._score(log_tau)
+        scores = np.full(len(log_tau), np.inf)
+        for k, t in enumerate(log_tau):
+            scores[k] = self._score(t)
+            if scores[k] == np.inf:
+                break
+        return scores
+
+    def _score(self, log_tau):
+        rows, r = self.rows, len(self.rows.d)
+        scale = np.where(rows.omega > 0, math.exp(0.5 * log_tau), 1.0)
+        Z = rows.Z * scale  # and coordinates times scale: those of [U D | X_U]
+        state = PenaltyState.uniform(1.0, Z.shape[1], rows.omega == 0)
+        beta0 = None
+        if self.fits:  # the nearest fit's linear predictor
+            beta0 = min(self.fits, key=lambda f: abs(f[0] - log_tau))[1] / scale
         try:
-            fit = fit_weighted_ridge(self.Z_tr, self.resp_tr, state, beta0=self.beta)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                fit = fit_weighted_ridge(Z, self.resp, state, beta0=beta0)
+                self.steps += fit.iterations
+                self.fits.append((log_tau, fit.beta * scale))
+                lp = fit.linear_predictor
+                ll, _, w = family_terms(self.resp, lp)
+                Zp = Z[:, :r]
+                G = information_factor(self.resp, lp, Zp)
         except ConvergenceError as err:
             self.steps += err.last_iterate.iterations
-            return -np.inf
-        except SingularSystemError:
-            return -np.inf
-        self.steps += fit.iterations
-        self.beta = fit.beta
-        return family_loglik(self.resp_te, self.Z_te @ fit.beta)
+            return np.inf
+        except (SingularSystemError, FloatingPointError):
+            return np.inf
+        if G is not None:  # the exact cox information: G's rows at weight -1
+            Zp, w = np.vstack([Zp, G]), np.concatenate([w, np.full(len(G), -1.0)])
+        c, info = dpotrf(_primal_matrix(Zp, w, np.ones(r)), lower=True, overwrite_a=True)
+        if info:
+            return np.inf
+        alpha = fit.beta[:r]
+        return float(np.log(np.diag(c)).sum() - ll + 0.5 * alpha @ alpha)

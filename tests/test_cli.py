@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ecpc import Grouping, ResponseFamily, model_from_json, model_to_json, predict
+from ecpc.codata import build_hierarchy_from_continuous
 from ecpc.cli import (
     auc_mann_whitney,
     concordance_index,
+    load_codata_spec,
     load_design_csv,
     load_response_csv,
     main,
@@ -146,8 +148,8 @@ class TestFitCommand:
         diag = doc["diagnostics"]
         assert f"iterations={diag['iterations']} " in log
         assert f"initial_iterations={diag['initial_iterations']} " in log
-        assert diag["global_variance"]["newton_steps"] == 0  # gaussian: no CV fits
-        assert "cv_points_fitted=0 cv_newton_steps=0\n" in log
+        assert diag["global_variance"]["newton_steps"] == 0  # gaussian: no fits
+        assert "gv_newton_steps=0\n" in log
         assert diag["moments"] == [{"route": "direct", "rank": X.shape[0]}]
         name = doc["grouping_names"][0]
         assert f"moments grouping={name} route=direct rank={X.shape[0]}\n" in log
@@ -158,24 +160,23 @@ class TestFitCommand:
         back = json.loads(model_to_json(model_from_json((out / "model.json").read_text())))
         assert back["diagnostics"] == diag
 
-    def test_cox_fit_logs_cv_newton_steps(self, tmp_path):
+    def test_cox_fit_logs_gv_newton_steps(self, tmp_path):
         xp, yp, cp, *_ = make_dataset(tmp_path, seed=4, family="cox")
         out = tmp_path / "out"
         rc = main(
             [
                 "--command", "fit", "--family", "cox", "--x", xp, "--y", yp,
-                "--codata", cp, "--folds", "5", "--out", str(out),
+                "--codata", cp, "--out", str(out),
             ]
         )
         assert rc == 0
         record = json.loads((out / "model.json").read_text())["diagnostics"][
             "global_variance"
         ]
-        fits = 5 * record["n_points_fitted"]  # 5 folds
         steps = record["newton_steps"]
-        assert 0 < fits and fits <= steps <= 30 * fits  # each fit 1-30 steps
+        assert steps >= np.isfinite(record["objective"]).sum() > 0  # a step per fit at least
         log = (out / "fit.log").read_text()
-        assert f"cv_points_fitted={record['n_points_fitted']} cv_newton_steps={steps}\n" in log
+        assert f"gv_newton_steps={steps}\n" in log
 
     def test_fit_with_selection(self, tmp_path):
         xp, yp, cp, X, beta, names = make_dataset(tmp_path, seed=3)
@@ -276,8 +277,14 @@ class TestFitCommand:
             ({"continuous": "v.csv", "initial_threshold": "half"}, "initial_threshold"),
             ({"g0": list(range(1, 11)), "g1": list(range(11, 21)), "parent": ["g0"]}, "parent"),
             ({"continuous": 99999}, "continuous"),  # not a file descriptor to open
+            ({"continuous": "v.csv", "min_group_size": 2.7}, "min_group_size"),
+            ({"continuous": "v.csv", "min_group_size": True}, "min_group_size"),
+            ({"continuous": "v.csv", "initial_threshold": True}, "initial_threshold"),
         ],
-        ids=["min_group_size", "initial_threshold", "parent", "continuous"],
+        ids=[
+            "min_group_size", "initial_threshold", "parent", "continuous",
+            "min_group_size_fraction", "min_group_size_bool", "initial_threshold_bool",
+        ],
     )
     def test_malformed_codata_spec_exit_2(self, tmp_path, capsys, monkeypatch, spec, key):
         xp, yp, *_ = make_dataset(tmp_path)
@@ -294,6 +301,30 @@ class TestFitCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f'"{key}"' in err
+
+    @pytest.mark.parametrize("size", [4, 4.0, "4"], ids=["int", "float", "string"])
+    def test_integral_min_group_size_forms(self, tmp_path, monkeypatch, size):
+        # an integral number, or a string of one, is the integer
+        write_csv(str(tmp_path / "v.csv"), ["value"], [[float(j)] for j in range(20)])
+        monkeypatch.chdir(tmp_path)
+        cp = tmp_path / "spec.json"
+        cp.write_text(json.dumps({"continuous": "v.csv", "min_group_size": size}))
+        ref = build_hierarchy_from_continuous(np.arange(20.0), min_group_size=4, name="codata0")
+        assert load_codata_spec(str(cp), 20, 0) == ref[0]
+
+    def test_boolean_grouping_index_exit_2(self, tmp_path, capsys):
+        # JSON true is not the covariate 1
+        xp, yp, *_ = make_dataset(tmp_path)
+        cp = tmp_path / "groups.json"
+        cp.write_text(json.dumps({"g0": [True, *range(2, 11)], "g1": list(range(11, 21))}))
+        rc = main(
+            [
+                "--command", "fit", "--x", xp, "--y", yp, "--codata", str(cp),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 2
+        assert "group 'g0' has index True, not an integer in 1..20" in capsys.readouterr().err
 
     def test_missing_required_args_exit_2(self, capsys):
         assert main(["--command", "fit"]) == 2
