@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -151,10 +152,14 @@ class Grouping:
 
     def membership_counts(self) -> np.ndarray:
         """Number of groups each covariate belongs to."""
-        counts = np.zeros(self.p, dtype=int)
-        for g in self.groups:
-            counts[list(g)] += 1
-        return counts
+        return np.bincount(self.members, minlength=self.p)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The groups' indices concatenated in group order, read-only."""
+        out = np.fromiter(chain.from_iterable(self.groups), dtype=np.intp)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -173,9 +178,8 @@ def build_codata_matrix(grouping: Grouping) -> np.ndarray:
     """
     counts = grouping.membership_counts()  # all positive: a Grouping covers every covariate
     Z = np.zeros((grouping.p, grouping.n_groups))
-    for g_idx, g in enumerate(grouping.groups):
-        idx = np.asarray(g)
-        Z[idx, g_idx] = 1.0 / counts[idx]
+    members = grouping.members
+    Z[members, np.repeat(np.arange(grouping.n_groups), grouping.sizes)] = 1.0 / counts[members]
     return Z
 
 
@@ -193,27 +197,27 @@ def split_groups_random(grouping: Grouping, seed: int) -> GroupSplit:
 
     The in-part receives ceil(|g|/2) members, the out-part the rest.
     Singleton groups go wholly to the in-part with a warning.  Deterministic
-    for a fixed seed.
+    for a fixed seed: one permutation per group of two or more members.
     """
     rng = np.random.default_rng(seed)
-    in_groups = []
-    out_groups = []
-    for g_idx, g in enumerate(grouping.groups):
-        size = len(g)
+    sizes = grouping.sizes.tolist()
+    inside = np.zeros(len(grouping.members), dtype=bool)
+    for g_idx, (start, size) in enumerate(zip(accumulate([0] + sizes), sizes)):
         if size < 2:
             warnings.warn(
                 f"group {g_idx} of grouping '{grouping.name}' has a single member; "
                 "assigned wholly to the in-part",
                 stacklevel=2,
             )
-            in_groups.append(tuple(g))
-            out_groups.append(())
-            continue
-        shuffled = np.asarray(g)[rng.permutation(size)]
-        n_in = math.ceil(size / 2)
-        in_groups.append(tuple(np.sort(shuffled[:n_in]).tolist()))
-        out_groups.append(tuple(np.sort(shuffled[n_in:]).tolist()))
-    return GroupSplit(in_groups=tuple(in_groups), out_groups=tuple(out_groups), seed=seed)
+        inside[start + (rng.permutation(size)[: math.ceil(size / 2)] if size > 1 else 0)] = True
+    # the groups are sorted, so the members each part keeps are too
+    ins, outs = (iter(grouping.members[part].tolist()) for part in (inside, ~inside))
+    n_in = [math.ceil(size / 2) for size in sizes]
+    return GroupSplit(
+        in_groups=tuple(tuple(islice(ins, k)) for k in n_in),
+        out_groups=tuple(tuple(islice(outs, size - k)) for size, k in zip(sizes, n_in)),
+        seed=seed,
+    )
 
 
 def build_hierarchy_from_continuous(

@@ -346,7 +346,8 @@ def fit_weighted_ridge(
     A ridge fit with more penalised columns than rows runs on the
     :class:`_RowSpace` coordinates (``rows``, if shared by the caller),
     ``beta0`` projected on them, and stops on the caller's score.  Raises
-    :class:`ConvergenceError` (carrying the last iterate) at the cap.
+    :class:`ConvergenceError` (carrying the last iterate) at the cap, or when
+    the weights or ``G`` overflow or no step of length 1e-12 or more is finite.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -386,6 +387,13 @@ def fit_weighted_ridge(
             obj -= float(l1 @ np.abs(b))
         return lp, resid, w, obj
 
+    def fit_at(iterations):  # the iterate, in the caller's coordinates and sample order
+        lp_out = np.empty(n)
+        lp_out[order if cox else slice(None)] = lp
+        separation = resp.family == "binomial" and bool(np.max(np.abs(lp)) > 20.0)
+        beta_out = beta if rows is None else rows.beta(beta)
+        return RidgeFit(beta_out, lp_out, converged, iterations, separation)
+
     beta = np.zeros(X.shape[1]) if beta0 is None else np.array(beta0, dtype=float)
     lp, resid, w, obj = terms_at(beta)
     grad = X.T @ resid - omega * beta
@@ -400,6 +408,8 @@ def fit_weighted_ridge(
             _risk_set_rows(elp, ends, events, X * elp[:, None], Xq[n:])
         else:
             wq = w
+        if not (np.isfinite(wq).all() and np.isfinite(Xq[n:]).all()):
+            raise ConvergenceError("IRLS information overflowed", last_iterate=fit_at(it - 1))
         if lam1 == 0:
             step = solve_penalized_system(Xq, wq, omega, grad)
         else:
@@ -409,8 +419,10 @@ def fit_weighted_ridge(
         while True:
             trial = beta + t * step
             terms = terms_at(trial)
-            if (np.isfinite(terms[3]) and terms[3] >= obj - 1e-12) or t < 1e-12:
+            if np.isfinite(terms[3]) and (terms[3] >= obj - 1e-12 or t < 1e-12):
                 break
+            if t < 1e-12:
+                raise ConvergenceError("IRLS step not finite", last_iterate=fit_at(it - 1))
             t /= 2.0
         rel_change = abs(terms[3] - obj) / (abs(obj) + 1.0)
         beta = trial
@@ -434,17 +446,7 @@ def fit_weighted_ridge(
                 break
         else:
             stalled = 0
-    if cox:  # back to the caller's sample order
-        lp_sorted, lp = lp, np.empty(n)
-        lp[order] = lp_sorted
-    separation = resp.family == "binomial" and bool(np.max(np.abs(lp)) > 20.0)
-    fit = RidgeFit(
-        beta=beta if rows is None else rows.beta(beta),
-        linear_predictor=lp,
-        converged=converged,
-        iterations=it,
-        separation=separation,
-    )
+    fit = fit_at(it)
     if not converged:
         raise ConvergenceError(
             f"IRLS did not converge in {max_iter} iterations", last_iterate=fit
@@ -562,7 +564,8 @@ def _signed_newton(cols, wcols, r, b, pen, ridge, lam1):
 @dataclass
 class GlobalVariance:
     """A global-variance estimate and its search: the scored ``grid`` of
-    log tau2, the objective there (``scores``, +inf where a fit failed),
+    log tau2, the objective there (``scores``, +inf where a fit failed or
+    past the stop of a binomial/cox scan, see :class:`_LaplaceScore`),
     whether the search ended on an end of the grid, and the Newton steps of
     all its fits, capped ones included."""
 
@@ -761,10 +764,13 @@ class _LaplaceScore:
     as a binomial fit separates its classes.  Each fit is warm-started from
     the linear predictor of the nearest scored point.  A failed fit (no
     convergence, a singular system, an overflow) or determinant scores
-    +inf; the grid is fitted from its smallest tau2 up to its first +inf,
-    the rest score +inf unfitted.  ``steps`` counts the Newton steps of all
-    fits.
+    +inf.  The grid is fitted from its smallest tau2 up to its first +inf,
+    or until two successive points each score ``STOP`` above the best so
+    far, which leaves the best point's neighbours scored; the rest score
+    +inf unfitted.  ``steps`` counts the Newton steps of all fits.
     """
+
+    STOP = math.log(100.0)  # a Bayes factor of 100 against each of the two
 
     def __init__(self, K, X_unpen, resp):
         self.rows = _RowSpace(K, X_unpen)
@@ -778,7 +784,8 @@ class _LaplaceScore:
         scores = np.full(len(log_tau), np.inf)
         for k, t in enumerate(log_tau):
             scores[k] = self._score(t)
-            if scores[k] == np.inf:
+            past_best = k and scores[k - 1 : k + 1].min() > scores.min() + self.STOP
+            if scores[k] == np.inf or past_best:
                 break
         return scores
 

@@ -131,24 +131,30 @@ def solve_hierarchical_lasso(
 def solve_hyper(
     systems: Sequence[MomentSystem],
     kind: str,
-    lam: float,
+    lam,
     W_gammas: Sequence[np.ndarray],
     tree: HierTree | None = None,
 ) -> list[GroupWeights]:
     """Solve each system, with its group sizes, under hypershrinkage ``kind``.
 
-    At ``lam = 0``, and for kind ``none``, every kind is the minimum-norm
+    ``lam`` holds one strength per system; a scalar is every system's.  At
+    zero strength, and for kind ``none``, every kind is the minimum-norm
     least-squares fit of the size-scaled system, truncated at zero.  Above
     zero the kind only picks the groups of each system: ridge keeps all of
     them, the lasso and the hierarchical lasso those their sparse problem
     keeps.  One :func:`_ridge_refits` call then gives every kind's weights.
     ``selected`` is ``gamma > 0`` for the ridge kinds (and the lasso at zero
     strength), every group for the hierarchical lasso at zero strength, and
-    the sparse selection otherwise.
+    the sparse selection otherwise.  Each system's fit is the one it gets
+    alone, whatever the other systems and strengths of the call.
     """
     if kind not in KINDS:
         raise DataError(f"unknown hyperpenalty kind '{kind}'")
-    if lam < 0:
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim and lam.shape != (len(systems),):
+        raise DataError("give one hyperpenalty strength per system, or one for all")
+    lam = np.broadcast_to(lam, (len(systems),))
+    if not (lam >= 0).all():
         raise DataError("hyperpenalty strength must be non-negative")
     W_gammas = [np.asarray(w, dtype=float) for w in W_gammas]
     if kind == "hierarchical_lasso":
@@ -162,11 +168,15 @@ def solve_hyper(
                 f"hierarchy has {tree.n_nodes} nodes but the system has only {G} groups"
             )
         layout = _latent_layout(tree, G)
-    if kind == "none" or lam == 0:
-        gammas = [_min_norm_fit(s, W) for s, W in zip(systems, W_gammas)]
-        if kind == "hierarchical_lasso":  # no latent is penalised
-            return [GroupWeights(g, np.ones(len(g), dtype=bool)) for g in gammas]
-        return [GroupWeights(g, g > 0) for g in gammas]
+    fits: list[GroupWeights] = [None] * len(systems)
+    for s in np.flatnonzero((lam == 0) | (kind == "none")):
+        g = _min_norm_fit(systems[s], W_gammas[s])
+        # no latent is penalised: the hierarchical lasso keeps every group
+        fits[s] = GroupWeights(g, np.full(len(g), kind == "hierarchical_lasso") | (g > 0))
+    pos = [s for s, fit in enumerate(fits) if fit is None]
+    if not pos:
+        return fits
+    systems, lam, W_gammas = [systems[s] for s in pos], lam[pos], [W_gammas[s] for s in pos]
     objectives = [None] * len(systems)
     if kind == "ridge":
         selections = [np.ones(len(W), dtype=bool) for W in W_gammas]
@@ -177,7 +187,9 @@ def solve_hyper(
     gammas = _ridge_refits(systems, selections, lam, W_gammas)
     if kind == "ridge":
         selections = [g > 0 for g in gammas]
-    return [GroupWeights(*fit) for fit in zip(gammas, selections, objectives)]
+    for s, fit in zip(pos, zip(gammas, selections, objectives)):
+        fits[s] = GroupWeights(*fit)
+    return fits
 
 
 def _min_norm_fit(system: MomentSystem, W: np.ndarray) -> np.ndarray:
@@ -191,9 +203,9 @@ def _min_norm_fit(system: MomentSystem, W: np.ndarray) -> np.ndarray:
     return np.maximum(g_scaled / sqw, 0.0)
 
 
-def _ridge_refits(systems, selections, lam: float, W_gammas) -> list[np.ndarray]:
-    """Ridge weights of each system's selected groups at strength ``lam > 0``,
-    zero elsewhere.
+def _ridge_refits(systems, selections, lam, W_gammas) -> list[np.ndarray]:
+    """Ridge weights of each system's selected groups at its strength ``lam
+    > 0``, zero elsewhere.
 
     On the selected columns of the size-scaled system ``As`` this minimises
     ``||As g' - b||^2 + lam * ||g' - W^{1/2}||^2`` (see
@@ -216,20 +228,20 @@ def _ridge_refits(systems, selections, lam: float, W_gammas) -> list[np.ndarray]
             As[i, : len(A)] = A[:, sel] / sqw[i]
             b[i, : len(A)] = systems[s].b
         AsT = As.transpose(0, 2, 1)
-        lhs = AsT @ As + lam * np.eye(As.shape[2])
-        rhs = AsT @ b[:, :, None] + lam * sqw[:, :, None]
+        lhs = AsT @ As + lam[members, None, None] * np.eye(As.shape[2])
+        rhs = AsT @ b[:, :, None] + lam[members, None, None] * sqw[:, :, None]
         g_scaled = np.linalg.solve(lhs, rhs)[:, :, 0]
         for s, g, q in zip(members, g_scaled, sqw):
             gammas[s][sel] = np.maximum(g / q, 0.0)
     return gammas
 
 
-def _lasso_selections(systems, lam: float, W_gammas) -> list[np.ndarray]:
-    """The groups the lasso keeps in each system: none at or above the null
-    threshold, else those with a non-zero scaled weight after coordinate
-    descent."""
+def _lasso_selections(systems, lam, W_gammas) -> list[np.ndarray]:
+    """The groups the lasso keeps in each system at its strength: none at or
+    above the null threshold, else those with a non-zero scaled weight after
+    coordinate descent."""
     selections = []
-    for system, W in zip(systems, W_gammas):
+    for system, lam, W in zip(systems, lam, W_gammas):
         if lam >= lasso_null_threshold(system, W):
             selections.append(np.zeros(len(W), dtype=bool))
             continue
@@ -301,14 +313,16 @@ def _latent_layout(tree: HierTree, n_groups: int):
 def _fista_latents(B, b, sizes, penalised, lam, max_iter=20_000, tol=1e-12):
     """FISTA on a stack of latent group lasso problems with one latent layout.
 
-    Problem ``s`` minimises ``||B[s] u - b[s]||^2 + lam * sum ||u_m||`` over
-    the stacked latents ``u`` (the penalised blocks of ``sizes``).  Each
+    Problem ``s`` minimises ``||B[s] u - b[s]||^2 + lam[s] * sum ||u_m||``
+    over the stacked latents ``u`` (the penalised blocks of ``sizes``).  Each
     problem has its own step ``1/L`` and stops once its objective changes by
     less than ``tol * (1 + |obj|)``; it then leaves the stack with its
-    iterate frozen, so it stops on the iteration it would stop on alone.
-    Returns the latents and their objectives, one row per problem.
+    iterate frozen.  Every product and sum runs problem by problem, so each
+    takes the iterates it takes alone.  Returns the latents and their
+    objectives, one row per problem.
     """
     starts = np.cumsum(sizes) - sizes
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (B.shape[0],))[:, None]
     lam_pen = lam * penalised
     # Lipschitz constant of each smooth part's gradient
     L = 2.0 * np.linalg.norm(B, 2, axis=(1, 2))[:, None] ** 2
@@ -330,22 +344,26 @@ def _fista_latents(B, b, sizes, penalised, lam, max_iter=20_000, tol=1e-12):
             z = u_new + ((t_mom - 1.0) / t_new) * (u_new - u)
             u, t_mom = u_new, t_new
             r = (B @ u[:, :, None])[:, :, 0] - b
-            obj = (r * r).sum(axis=1) + (scale * norms) @ lam_pen
+            pen = (scale * norms)[:, None, :] @ lam_pen[:, :, None]  # one dot per problem
+            obj = (r * r).sum(axis=1) + pen[:, 0, 0]
             done = np.abs(prev_obj - obj) < tol * (1.0 + np.abs(obj))
             if done.any():
                 u_out[active[done]], obj_out[active[done]] = u[done], obj[done]
                 go = ~done
                 if not go.any():
                     return u_out, obj_out
-                active, B, b, L, u, z, obj = (x[go] for x in (active, B, b, L, u, z, obj))
+                active, B, b, L, lam, lam_pen, u, z, obj = (
+                    x[go] for x in (active, B, b, L, lam, lam_pen, u, z, obj)
+                )
             prev_obj = obj
     warnings.warn("hierarchical lasso reached the iteration cap", stacklevel=4)
     u_out[active], obj_out[active] = u, prev_obj
     return u_out, obj_out
 
 
-def _hierarchical_selections(systems, layout, lam: float, W_gammas):
-    """The groups the hierarchical lasso keeps in each system, and its objective.
+def _hierarchical_selections(systems, layout, lam, W_gammas):
+    """The groups the hierarchical lasso keeps in each system at its
+    strength, and its objective.
 
     The systems share one latent ``layout`` of :func:`_latent_layout`.
     Their scaled latent designs are stacked; a system with fewer equations
@@ -367,7 +385,9 @@ def _hierarchical_selections(systems, layout, lam: float, W_gammas):
     latent_norms = np.zeros((len(b), len(sizes)))  # zero penalised latents if screened
     fista = lam < threshold
     if fista.any():
-        u, objective[fista] = _fista_latents(B[fista], b_pad[fista], sizes, penalised, lam)
+        u, objective[fista] = _fista_latents(
+            B[fista], b_pad[fista], sizes, penalised, lam[fista]
+        )
         latent_norms[fista] = np.sqrt(np.add.reduceat(u * u, np.cumsum(sizes) - sizes, axis=1))
 
     selections = []
@@ -402,8 +422,10 @@ def estimate_hyperlambda(
     extensions, the search stops with a warning and returns the value at the
     winner's index in the grid extended once more.  The result also carries
     every scored candidate and its mean score.  The in-half systems of
-    one candidate are solved in one :func:`solve_hyper` call, under the
-    grouping's hierarchy if it has one.
+    the grid, and then of each extension, are solved for all their new
+    candidates in one :func:`solve_hyper` call, under the grouping's
+    hierarchy if it has one; if that call does not converge, each candidate
+    is solved alone and a failing one scores ``inf``.
     """
     if penalty_kind == "none":
         return HyperLambda(0.0)
@@ -423,15 +445,16 @@ def estimate_hyperlambda(
         sizes = np.array([len(part) for part in split.in_groups], dtype=float)
         sizes_in.append(np.maximum(sizes, 1.0))
 
-    def mean_rss(lam):
+    def mean_rss(lams):  # of a batch of candidates, on every split
+        m, k = len(lams), len(systems_in)
         try:
             fits = solve_hyper(
-                systems_in, penalty_kind, float(lam), sizes_in, tree=grouping.tree
+                systems_in * m, penalty_kind, np.repeat(lams, k), sizes_in * m, tree=grouping.tree
             )
-        except ConvergenceError:
-            return np.inf
-        resids = [s.A @ gw.gamma - s.b for s, gw in zip(systems_out, fits)]
-        return float(np.mean([float(r @ r) for r in resids]))
+        except ConvergenceError:  # alone, a failing candidate scores inf
+            return [np.inf] if m == 1 else [mean_rss([lam])[0] for lam in lams]
+        rss = [float(r @ r) for r in (s.A @ f.gamma - s.b for s, f in zip(systems_out * m, fits))]
+        return [float(np.mean(rss[i : i + k])) for i in range(0, m * k, k)]
 
     grid = np.sort(grid)
     scores: dict[float, float] = {}
@@ -446,9 +469,8 @@ def estimate_hyperlambda(
         )
 
     for n_ext in range(3):
-        for lam in grid:
-            if lam not in scores:
-                scores[lam] = mean_rss(lam)
+        new = [lam for lam in grid if lam not in scores]
+        scores.update(zip(new, mean_rss(new)))
         rss = np.array([scores[lam] for lam in grid])
         if not np.isfinite(rss).any():
             raise ConvergenceError("no hyperpenalty candidate produced a finite score")

@@ -257,7 +257,7 @@ class MomentSystem:
 def _indicator(member_sets, n: int) -> sparse.csr_matrix:
     """Sparse H x n matrix summing over each set's members."""
     sizes = [len(m) for m in member_sets]
-    members = np.fromiter((k for m in member_sets for k in m), dtype=int)
+    members = np.fromiter(chain.from_iterable(member_sets), dtype=np.intp, count=sum(sizes))
     return sparse.csr_matrix(
         (np.ones(len(members)), members, np.concatenate([[0], np.cumsum(sizes)])),
         shape=(len(member_sets), n),
@@ -349,15 +349,16 @@ def build_split_systems(
 
 
 def _halves_partition(split: GroupSplit, grouping: Grouping) -> bool:
-    """Whether a split's halves partition each group of the grouping."""
+    """Whether a split's halves partition each group: one sort, keyed by group."""
     halves = [a + b for a, b in zip(split.in_groups, split.out_groups)]
     sizes = [len(h) for h in halves]
     if sizes != grouping.sizes.tolist():
         return False
-    members = np.fromiter(chain.from_iterable(halves), dtype=int)
-    in_group = np.repeat(np.arange(len(halves)), sizes)  # sort within each group only
-    whole = np.fromiter(chain.from_iterable(grouping.groups), dtype=int)
-    return np.array_equal(members[np.lexsort((members, in_group))], whole)
+    members = np.fromiter(chain.from_iterable(halves), dtype=np.intp, count=sum(sizes))
+    if members.min() < 0 or members.max() >= grouping.p:  # keys out of their group's range
+        return False
+    offset = np.repeat(np.arange(len(sizes)) * grouping.p, sizes)
+    return np.array_equal(np.sort(members + offset), grouping.members + offset)
 
 
 def build_grouping_weight_system(

@@ -98,12 +98,18 @@ class TestGroupSplit:
 
     def test_halves_are_the_sorted_seeded_permutation(self):
         # each group's halves are the sorted first ceil(|g|/2) and remaining
-        # members of one seeded permutation per group, as Python ints
-        g = grp([tuple(range(0, 15, 2)), tuple(range(1, 15, 2)), tuple(range(5, 12))], 15)
+        # members of one seeded permutation per group of two or more, as
+        # Python ints; a singleton draws none
+        groups = [tuple(range(0, 15, 2)), (3,), tuple(range(1, 15, 2)), tuple(range(5, 12))]
+        g = grp(groups, 15)
         for seed in range(5):
-            s = split_groups_random(g, seed=seed)
+            with pytest.warns(UserWarning, match="single member"):
+                s = split_groups_random(g, seed=seed)
             rng = np.random.default_rng(seed)
             for members, inn, out in zip(g.groups, s.in_groups, s.out_groups):
+                if len(members) == 1:
+                    assert inn == members and out == ()
+                    continue
                 shuffled = [members[k] for k in rng.permutation(len(members))]
                 n_in = (len(members) + 1) // 2
                 assert inn == tuple(sorted(shuffled[:n_in]))

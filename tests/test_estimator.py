@@ -488,10 +488,11 @@ class TestSerialization:
         record = model.diagnostics["global_variance"]
         assert record["tau_global"] == model.tau_global
         grid, objective = np.array(record["log_tau_grid"]), np.array(record["objective"])
-        assert len(grid) == len(objective) == 33 and np.isfinite(objective).all()
+        k = int(np.isfinite(objective).sum())  # +inf past the scan's stop
+        assert len(grid) == len(objective) == 33 and np.isfinite(objective[:k]).all()
         assert isinstance(record["on_grid_boundary"], bool)
         assert grid[0] <= np.log(model.tau_global) <= grid[-1]
-        assert record["newton_steps"] == sum(steps) and len(steps) >= 33  # the grid, Brent's
+        assert record["newton_steps"] == sum(steps) and len(steps) >= k  # the grid, Brent's
         assert model.diagnostics["initial_iterations"] >= 1
         assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}]
         assert back.diagnostics == model.diagnostics
@@ -532,7 +533,7 @@ class TestSerialization:
         solve = hypershrinkage.solve_hyper
 
         def failing_at_top(systems, kind, lam, *args, **kwargs):
-            if lam == top:
+            if np.any(np.asarray(lam) == top):  # the batch, then top alone
                 raise ConvergenceError("no convergence")
             return solve(systems, kind, lam, *args, **kwargs)
 

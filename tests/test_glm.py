@@ -1,6 +1,6 @@
 import math
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -528,6 +528,37 @@ class TestCox:
         fit = fit_weighted_ridge(X[train], resp.subset(train), state)
         assert fit.converged and fit.iterations <= 30
 
+    @pytest.mark.parametrize("log_tau", [15.0, 20.0])
+    def test_overflow_is_a_convergence_error(self, log_tau):
+        # from zero at a large prior variance exp(lp) X overflows within a few
+        # steps: the fit ends at its last finite iterate instead of passing
+        # infinite rows to the solve, which raised ValueError
+        X, resp, mask = gv_problem("cox", 0, 47, 40, 1)
+        state = PenaltyState.uniform(math.exp(log_tau), X.shape[1], mask)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="information overflowed") as info:
+                fit_weighted_ridge(X, resp, state)
+        last = info.value.last_iterate
+        assert not last.converged and last.iterations >= 1
+        assert np.isfinite(last.beta).all()
+        assert np.isfinite(family_loglik(resp, last.linear_predictor))
+
+    def test_step_without_a_finite_length_is_a_convergence_error(self, monkeypatch):
+        # no step length down to 1e-12 gives a finite objective: the fit ends
+        # at its last finite iterate, here the start
+        X, resp, mask = gv_problem("cox", 0, 47, 40, 1)
+        terms = glm.family_terms
+
+        def finite_at_start_only(resp, lp):
+            ll, resid, w = terms(resp, lp)
+            return (np.nan if lp.any() else ll), resid, w
+
+        monkeypatch.setattr(glm, "family_terms", finite_at_start_only)
+        with pytest.raises(ConvergenceError, match="step not finite") as info:
+            fit_weighted_ridge(X, resp, PenaltyState.uniform(1.0, X.shape[1], mask))
+        last = info.value.last_iterate
+        assert last.iterations == 0 and not last.beta.any()
+
 
 def naive_cox_terms(t, d, lp):
     """Cox log-likelihood, Breslow H0 and martingale residuals by explicit
@@ -978,6 +1009,7 @@ class TestGlobalVarianceCV:
 
         X, resp, mask = gv_problem(family, 19, 40, 100, unpenalized=family == "binomial")
         monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(glm._LaplaceScore, "STOP", math.inf)  # every point fitted
         gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
         assert np.isfinite(gv.scores).all()
 
@@ -996,10 +1028,13 @@ class TestGlobalVarianceCV:
         assert all(cols <= rows + 1 for rows, cols in shapes)
 
     def test_no_fit_below_the_first_failure(self, monkeypatch):
-        # a failure injected below the penalty 20 (above tau2 = 0.05), past
-        # the optimum: the grid is fitted from its smallest tau2 up to the
-        # first failure, and every point above scores +inf unfitted
+        # a failure injected two grid points above the optimum, before the
+        # scan would stop: the grid is fitted from its smallest tau2 up to
+        # the first failure, and every point above scores +inf unfitted
         X, resp, _ = gv_problem("cox", 18, 40, 100, unpenalized=0)
+        grid = estimate_global_variance(X, resp).grid
+        best = int(np.argmin(estimate_global_variance(X, resp).scores))
+        limit = math.exp(0.5 * (grid[best + 1] + grid[best + 2]))
         taus, steps = [], []
         score, fit = glm._LaplaceScore._score, glm.fit_weighted_ridge
 
@@ -1010,7 +1045,7 @@ class TestGlobalVarianceCV:
         def failing(*args, **kwargs):
             out = fit(*args, **kwargs)
             steps.append(out.iterations)
-            if taus[-1] > 0.05:
+            if taus[-1] > limit:
                 raise ConvergenceError("injected", last_iterate=out)
             return out
 
@@ -1019,12 +1054,32 @@ class TestGlobalVarianceCV:
         gv = estimate_global_variance(X, resp)
         assert gv.newton_steps == sum(steps)  # the capped fit's steps included
         k = int(np.flatnonzero(np.isinf(gv.scores))[0])
+        assert k == best + 2
         assert np.isfinite(gv.scores[:k]).all() and np.isinf(gv.scores[k:]).all()
         assert np.array_equal(taus[: k + 1], np.exp(gv.grid[: k + 1]))
-        assert taus[k] > 0.05 >= taus[k - 1]
+        assert taus[k] > limit >= taus[k - 1]
         # the refine stays between the best point's neighbours, below the failure
-        assert not gv.on_grid_boundary and gv.tau_global < 0.05
+        assert not gv.on_grid_boundary and gv.tau_global < limit
         assert all(tau < taus[k] for tau in taus[k + 1 :])
+
+    @pytest.mark.parametrize("family,unpenalized", [("binomial", 1), ("cox", 0)])
+    def test_scan_stops_past_the_minimum(self, family, unpenalized, monkeypatch):
+        # the scan stops once two points each score log(100) above the best:
+        # fewer fits, the same scores where fitted, the same estimate
+        X, resp, mask = gv_problem(family, 18, 40, 100, unpenalized)
+        gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
+        monkeypatch.setattr(glm._LaplaceScore, "STOP", math.inf)
+        full = estimate_global_variance(X, resp, unpenalized_mask=mask)
+        k = int(np.isfinite(gv.scores).sum())
+        assert k < len(gv.grid) and np.isinf(gv.scores[k:]).all()
+        assert np.isfinite(full.scores).all()
+        assert np.array_equal(gv.scores[:k], full.scores[:k])
+        best = int(np.argmin(gv.scores))
+        assert k >= best + 3 and best == int(np.argmin(full.scores))
+        assert (gv.scores[k - 2 : k] > gv.scores[best] + math.log(100.0)).all()
+        assert gv.tau_global == full.tau_global
+        assert gv.on_grid_boundary == full.on_grid_boundary
+        assert gv.newton_steps < full.newton_steps
 
     @pytest.mark.parametrize(
         "error",
@@ -1061,20 +1116,21 @@ class TestGlobalVarianceCV:
         # the grid's warm-started fits score what a cold fit from zero scores
         # at every point up to the grid's first +inf, where that fit works
         # (near the top of the bracket its first steps may overflow); the
-        # estimate is the best point, refined between its neighbours unless
-        # it is an end, which is flagged and warned
+        # best point is the best of the cold fits on the whole grid, the
+        # points the scan stopped short of included; the estimate is the best
+        # point, refined between its neighbours unless it is an end, which
+        # is flagged and warned
         X, resp, mask = gv_problem(family, seed, n, p, unpenalized)
         with polished_fits(), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
             cold = np.full(len(gv.grid), np.nan)
             for k, t in enumerate(gv.grid):
-                with np.errstate(over="ignore", invalid="ignore"), suppress(ValueError):
-                    cold[k] = glm._LaplaceScore(gv.gram, X[:, mask], resp)(t)
+                cold[k] = glm._LaplaceScore(gv.gram, X[:, mask], resp)(t)
         fitted = np.isfinite(gv.scores)
         assert fitted.all() or np.isinf(gv.scores[np.argmin(fitted) :]).all()
         best = int(np.argmin(gv.scores))
-        assert np.isfinite(cold[best])
+        assert np.isfinite(cold[best]) and best == int(np.argmin(cold))
         both = fitted & np.isfinite(cold)
         assert np.allclose(gv.scores[both], cold[both], rtol=1e-9, atol=0.0)
         boundary = [w for w in caught if "grid boundary" in str(w.message)]

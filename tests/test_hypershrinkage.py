@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecpc import (
+    ConvergenceError,
     Grouping,
     HierTree,
     compute_moment_core,
@@ -637,6 +638,26 @@ class TestDispatch:
             solve_hyper(systems, kind, 0.0, Ws, tree=BALANCED_TREE)
             assert calls == []
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_equals_one_call_per_strength(self, kind):
+        # one call with a strength per system, zeros among them, gives each
+        # system exactly what one call per strength gives it: screened and
+        # solved systems, coordinate descent and FISTA alike
+        cases = [hier_case(700 + seed, 8) for seed in range(12)]
+        systems, Ws = [c[0] for c in cases], [c[1] for c in cases]
+        lams = np.array([0.0, 0.05, 0.5, 2.0, 8.0, 1e3] * 2)
+        batch = solve_hyper(systems, kind, lams, Ws, tree=BALANCED_TREE)
+        for lam in np.unique(lams):
+            idx = np.flatnonzero(lams == lam)
+            alone = solve_hyper(
+                [systems[i] for i in idx], kind, lam, [Ws[i] for i in idx], tree=BALANCED_TREE
+            )
+            for i, fit in zip(idx, alone):
+                assert np.array_equal(batch[i].gamma, fit.gamma)
+                assert np.array_equal(batch[i].selected, fit.selected)
+                assert batch[i].objective == fit.objective
+                assert (fit.objective is None) == (kind != "hierarchical_lasso" or lam == 0)
+
     def test_rejects_unknown_kind_and_negative_strength(self):
         from ecpc import DataError
 
@@ -645,6 +666,10 @@ class TestDispatch:
             solve_hyper([sys], "group_lasso", 1.0, [W])
         with pytest.raises(DataError, match="non-negative"):
             solve_hyper([sys], "lasso", -1.0, [W])
+        with pytest.raises(DataError, match="non-negative"):
+            solve_hyper([sys, sys], "ridge", [1.0, np.nan], [W, W])
+        with pytest.raises(DataError, match="one hyperpenalty strength per system"):
+            solve_hyper([sys, sys], "ridge", [1.0, 2.0, 3.0], [W, W])
         with pytest.raises(DataError, match="requires a hierarchy"):
             solve_hyper([sys], "hierarchical_lasso", 1.0, [W])
 
@@ -716,6 +741,26 @@ class TestEstimateHyperlambda:
         core, g = _core_and_grouping()
         assert estimate_hyperlambda(g, core, penalty_kind="none").lam == 0.0
 
+    @pytest.mark.parametrize("grid", [None, [1e6, 1e7]])
+    def test_one_solve_per_batch_of_candidates(self, grid, monkeypatch):
+        # the grid, then each extension, is one solve_hyper call on the
+        # in-systems of every split, repeated once per new candidate
+        core, g = _core_and_grouping()
+        calls = []
+        solve = hypershrinkage.solve_hyper
+
+        def counted(systems, kind, lam, *args, **kwargs):
+            calls.append(np.unique(lam).tolist())
+            assert len(systems) == 3 * len(calls[-1])
+            return solve(systems, kind, lam, *args, **kwargs)
+
+        monkeypatch.setattr(hypershrinkage, "solve_hyper", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a grid-boundary end
+            choice = estimate_hyperlambda(g, core, n_splits=3, grid=grid)
+        assert len(calls) == min(choice.n_grid_extensions + 1, 3)
+        assert sorted(sum(calls, [])) == list(choice.grid)
+
 
 def _codata_hier_problem(seed=5, n=60, p=60):
     """A small problem shaped like the codata-hier benchmark workload.
@@ -738,6 +783,39 @@ def _codata_hier_problem(seed=5, n=60, p=60):
 
 
 class TestSearchScreening:
+    def test_a_failing_candidate_alone_scores_inf(self, monkeypatch):
+        # coordinate descent capped at one strength: that candidate scores
+        # inf, and every other keeps the score of the unpatched search
+        core, _, part = _codata_hier_problem()
+        cd = hypershrinkage.elastic_net_cd
+        ran = set()
+
+        def recorded(As, w, b, lam1):
+            ran.add(2.0 * lam1)
+            return cd(As, w, b, lam1)
+
+        monkeypatch.setattr(hypershrinkage, "elastic_net_cd", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a grid-boundary end
+            shipped = estimate_hyperlambda(part, core, "lasso", 5)
+        target = max(ran - {shipped.lam})
+
+        def capped(As, w, b, lam1):
+            if 2.0 * lam1 == target:
+                raise ConvergenceError("coordinate descent did not converge")
+            return cd(As, w, b, lam1)
+
+        monkeypatch.setattr(hypershrinkage, "elastic_net_cd", capped)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            failed = estimate_hyperlambda(part, core, "lasso", 5)
+        k = shipped.grid.index(target)
+        assert failed.grid == shipped.grid and failed.lam == shipped.lam
+        assert failed.mean_rss[k] == np.inf and np.isfinite(shipped.mean_rss[k])
+        assert failed.mean_rss[:k] + failed.mean_rss[k + 1 :] == (
+            shipped.mean_rss[:k] + shipped.mean_rss[k + 1 :]
+        )
+
     def test_same_choice_without_screening(self, monkeypatch):
         # screening may change how a candidate is solved, never its score
         core, hier, part = _codata_hier_problem()

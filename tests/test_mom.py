@@ -400,6 +400,7 @@ class TestRoutes:
             (((0, 1), (3,)), ((1,), (4, 5))),  # a member twice, sizes equal
             (((0, 1), (2,)), ((3,), (4, 5))),  # members swapped between groups
             (((0,), (3,)), ((1, 7), (4, 5))),  # a member out of range
+            (((0, 1), (-4,)), ((9,), (4, 5))),  # out of range, each in the other's place
             (((0, 1), (3, 4)), ((2,),)),  # a group without halves
         ]:
             split = GroupSplit(in_groups=in_groups, out_groups=out_groups, seed=0)
