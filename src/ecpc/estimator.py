@@ -198,7 +198,7 @@ def fit_ecpc(
     # one row-space rotation serves the fit and the core; its Gram is step 1's, scaled
     omega0 = state0.precision_diag
     rows = _RowSpace.of(X_aug, omega0, tau_global * gv.gram)
-    fit0 = fit_weighted_ridge(X_aug, resp_fit, state0, rows=rows)
+    fit0 = fit_weighted_ridge(X_aug, resp_fit, state0, beta0=gv.beta, rows=rows)
     W = moment_weights(resp_fit, fit0.linear_predictor)
     core = compute_moment_core(X_aug, W, omega0, fit0.beta, rows=rows)
 

@@ -564,10 +564,12 @@ def _signed_newton(cols, wcols, r, b, pen, ridge, lam1):
 @dataclass
 class GlobalVariance:
     """A global-variance estimate and its search: the scored ``grid`` of
-    log tau2, the objective there (``scores``, +inf where a fit failed or
-    past the stop of a binomial/cox scan, see :class:`_LaplaceScore`),
-    whether the search ended on an end of the grid, and the Newton steps of
-    all its fits, capped ones included."""
+    log tau2, the objective there (``scores``, +inf where a fit failed or,
+    for binomial/cox, where the walk of :class:`_LaplaceScore` fitted none),
+    whether the search ended on an end of the grid, the Newton steps of
+    all its fits, capped ones included, and for binomial/cox the fit at
+    ``tau_global`` (``beta``, in the columns of X), a warm start for a fit
+    there."""
 
     tau_global: float
     sigma2: float | None
@@ -576,6 +578,7 @@ class GlobalVariance:
     on_grid_boundary: bool
     newton_steps: int
     gram: np.ndarray = field(repr=False)  # X_P X_P'
+    beta: np.ndarray | None = field(default=None, repr=False)
 
 
 def stratified_folds(resp: ResponseFamily, n_folds: int, seed: int) -> np.ndarray:
@@ -614,7 +617,9 @@ def estimate_global_variance(X, resp: ResponseFamily, unpenalized_mask=None) -> 
     supplied.  Its upper end is a sigma2 collapse, its lower end no signal.
     Binomial/cox: the Laplace approximation (Wood, JRSS-B 2011) ``l(beta) -
     0.5 |beta_P|^2 / tau2 - 0.5 log det(X_P' W X_P [- G'G] + I / tau2) +
-    0.5 log det(I / tau2)`` at the fit, in ``log tau2`` (:class:`_LaplaceScore`).
+    0.5 log det(I / tau2)`` at the fit, in ``log tau2``, its grid fitted by
+    a walk downhill from the centre (:class:`_LaplaceScore`); the fit at
+    the estimate comes back as ``beta``.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -637,7 +642,15 @@ def estimate_global_variance(X, resp: ResponseFamily, unpenalized_mask=None) -> 
             raise DataError("degenerate X: zero spectrum")
         laplace = _LaplaceScore(K, X[:, mask], resp)
         log_tau, grid, scores, boundary = _minimise(laplace, -math.log(K.trace() / n))
-        return GlobalVariance(math.exp(log_tau), None, grid, scores, boundary, laplace.steps, K)
+        beta = None
+        alpha = dict(laplace.fits).get(log_tau)  # the minimiser is a point it fitted
+        if alpha is not None:  # beta_P = X_P' U D^-1 alpha_P keeps the linear predictor
+            r = len(laplace.rows.d)
+            beta = np.empty(p)
+            beta[~mask] = Xp.T @ (laplace.rows.U_by_d @ alpha[:r])
+            beta[mask] = alpha[r:]
+        tau = math.exp(log_tau)
+        return GlobalVariance(tau, None, grid, scores, boundary, laplace.steps, K, beta)
 
     y, gram = resp.y, K
     if mask.any():  # the error contrasts N'y, of Gram N'KN
@@ -764,13 +777,14 @@ class _LaplaceScore:
     as a binomial fit separates its classes.  Each fit is warm-started from
     the linear predictor of the nearest scored point.  A failed fit (no
     convergence, a singular system, an overflow) or determinant scores
-    +inf.  The grid is fitted from its smallest tau2 up to its first +inf,
-    or until two successive points each score ``STOP`` above the best so
-    far, which leaves the best point's neighbours scored; the rest score
+    +inf.  The grid is walked downhill from its centre: the best point so
+    far and its two neighbours are fitted, and the walk steps to a lower
+    neighbour (of equal scores, the one at the smaller tau2) until there is
+    none.  A failed fit is a wall that the walk does not cross; a failed
+    centre sends it down to the first point that fits.  The fitted points
+    form one run holding the best point and its neighbours; the rest score
     +inf unfitted.  ``steps`` counts the Newton steps of all fits.
     """
-
-    STOP = math.log(100.0)  # a Bayes factor of 100 against each of the two
 
     def __init__(self, K, X_unpen, resp):
         self.rows = _RowSpace(K, X_unpen)
@@ -782,12 +796,25 @@ class _LaplaceScore:
         if not np.ndim(log_tau):
             return self._score(log_tau)
         scores = np.full(len(log_tau), np.inf)
-        for k, t in enumerate(log_tau):
-            scores[k] = self._score(t)
-            past_best = k and scores[k - 1 : k + 1].min() > scores.min() + self.STOP
-            if scores[k] == np.inf or past_best:
-                break
-        return scores
+        fitted = np.zeros(len(log_tau), dtype=bool)
+
+        def fit(k):
+            if 0 <= k < len(log_tau) and not fitted[k]:
+                fitted[k] = True
+                scores[k] = self._score(log_tau[k])
+
+        best = len(log_tau) // 2
+        fit(best)
+        while scores[best] == np.inf and best > 0:  # a failed centre: down to a fit
+            best -= 1
+            fit(best)
+        while True:
+            fit(best - 1)
+            fit(best + 1)
+            step = int(np.argmin(scores))  # the best or a neighbour, the first of equals
+            if step == best:
+                return scores
+            best = step
 
     def _score(self, log_tau):
         rows, r = self.rows, len(self.rows.d)

@@ -238,11 +238,13 @@ def _ridge_refits(systems, selections, lam, W_gammas) -> list[np.ndarray]:
 
 def _lasso_selections(systems, lam, W_gammas) -> list[np.ndarray]:
     """The groups the lasso keeps in each system at its strength: none at or
-    above the null threshold, else those with a non-zero scaled weight after
-    coordinate descent."""
+    above the null threshold, computed once per distinct system, else those
+    with a non-zero scaled weight after coordinate descent."""
+    first, index = _distinct(systems, W_gammas)
+    threshold = [lasso_null_threshold(systems[s], W_gammas[s]) for s in first]
     selections = []
-    for system, lam, W in zip(systems, lam, W_gammas):
-        if lam >= lasso_null_threshold(system, W):
+    for system, lam, W, i in zip(systems, lam, W_gammas, index):
+        if lam >= threshold[i]:
             selections.append(np.zeros(len(W), dtype=bool))
             continue
         As = np.asarray(system.A, dtype=float) / np.sqrt(W)[None, :]
@@ -250,6 +252,15 @@ def _lasso_selections(systems, lam, W_gammas) -> list[np.ndarray]:
         g_scaled = elastic_net_cd(As, 1.0, np.asarray(system.b, dtype=float), lam / 2.0)
         selections.append(np.abs(g_scaled) > 0)
     return selections
+
+
+def _distinct(systems, W_gammas):
+    """The first of each distinct (system, sizes) pair, by identity, and
+    each pair's index among them: a batch of candidates repeats its
+    in-systems once per candidate."""
+    ids = np.array([(id(system), id(W)) for system, W in zip(systems, W_gammas)])
+    _, first, index = np.unique(ids, axis=0, return_index=True, return_inverse=True)
+    return first, index.ravel()
 
 
 def lasso_null_threshold(
@@ -368,25 +379,28 @@ def _hierarchical_selections(systems, layout, lam, W_gammas):
     The systems share one latent ``layout`` of :func:`_latent_layout`.
     Their scaled latent designs are stacked; a system with fewer equations
     is padded with zero rows, which change neither its objective nor its
-    gradient.  A system at or above its null threshold gets the closed-form
-    solution of :func:`_null_fits`; one FISTA run solves the others.
+    gradient.  Each distinct system is stacked and screened once.  A
+    system at or above its null threshold gets the closed-form solution of
+    :func:`_null_fits`; one FISTA run solves the others.
     """
     flat, sizes, penalised = layout
     b = [np.asarray(s.b, dtype=float) for s in systems]
-    # one column per latent entry: B[s] u = As[s] @ (sum of the latents)
-    B = np.zeros((len(b), max(map(len, b)), len(flat)))
+    first, index = _distinct(systems, W_gammas)
+    # one column per latent entry: B[i] u = As[i] @ (sum of the latents)
+    B = np.zeros((len(first), max(map(len, b)), len(flat)))
     b_pad = np.zeros(B.shape[:2])
-    for s, (system, W) in enumerate(zip(systems, W_gammas)):
-        A = np.asarray(system.A, dtype=float)
-        B[s, : len(b[s])] = (A / np.sqrt(W)[None, :])[:, flat]
-        b_pad[s, : len(b[s])] = b[s]
+    for i, s in enumerate(first):
+        A = np.asarray(systems[s].A, dtype=float)
+        B[i, : len(b[s])] = (A / np.sqrt(W_gammas[s])[None, :])[:, flat]
+        b_pad[i, : len(b[s])] = b[s]
     threshold, r0 = _null_fits(B, b_pad, sizes, penalised)
+    threshold, r0 = threshold[index], r0[index]
     objective = (r0 * r0).sum(axis=1)
     latent_norms = np.zeros((len(b), len(sizes)))  # zero penalised latents if screened
     fista = lam < threshold
     if fista.any():
         u, objective[fista] = _fista_latents(
-            B[fista], b_pad[fista], sizes, penalised, lam[fista]
+            B[index[fista]], b_pad[index[fista]], sizes, penalised, lam[fista]
         )
         latent_norms[fista] = np.sqrt(np.add.reduceat(u * u, np.cumsum(sizes) - sizes, axis=1))
 

@@ -305,8 +305,8 @@ class TestEdgeCases:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cox_single_event(self, seed):
         # One event carries almost no information: the marginal likelihood
-        # is finite at every point and puts tau2 at or near its lower end,
-        # no signal, and the fit is all but null.
+        # is finite at every point, fitted by the walk or not, and puts tau2
+        # at or near its lower end, no signal, and the fit is all but null.
         rng, X, g = edge_data(seed)
         status = np.zeros(len(X))
         status[5] = 1.0
@@ -315,9 +315,34 @@ class TestEdgeCases:
             warnings.simplefilter("ignore", UserWarning)  # a boundary optimum
             gv = estimate_global_variance(X, resp)
             model = fit_ecpc(X, resp, [g])
-        assert np.isfinite(gv.scores).all()
+        laplace = glm._LaplaceScore(gv.gram, X[:, :0], resp)
+        every = np.array([laplace(t) for t in gv.grid])  # each point, from the smallest tau2 up
+        assert np.isfinite(every).all()
+        walked = np.flatnonzero(np.isfinite(gv.scores))
+        assert len(walked) >= 3 and np.array_equal(walked, np.arange(walked[0], walked[-1] + 1))
+        assert walked[0] <= int(np.argmin(every)) + 1
         assert gv.tau_global < 1e-3 and model.tau_global == gv.tau_global
         assert model.diagnostics["converged"] and np.abs(model.beta).max() < 1e-2
+
+    @pytest.mark.parametrize("family", ["binomial", "cox"])
+    def test_initial_fit_starts_at_step_1s_fit(self, family):
+        # step 1 fitted the initial fit's problem at its estimate: started
+        # there, the initial fit takes one Newton step, where a cold start
+        # takes several, to the same fit
+        rng, X, g = edge_data(61, n=50, p=80)
+        lp = X[:, :10] @ rng.normal(0.0, 0.5, 10)
+        if family == "binomial":
+            resp = ResponseFamily.binomial((rng.random(len(X)) < 1 / (1 + np.exp(-lp))) * 1.0)
+        else:
+            resp = ResponseFamily.cox(rng.exponential(1.0, len(X)) / np.exp(lp), np.ones(len(X)))
+        intercept = family == "binomial"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a hyperpenalty boundary
+            model = fit_ecpc(X, resp, [g], intercept=intercept)
+        X_aug = np.hstack([X, np.ones((len(X), 1))]) if intercept else X
+        mask = np.arange(X_aug.shape[1]) >= X.shape[1]
+        cold = fit_weighted_ridge(X_aug, resp, PenaltyState.uniform(model.tau_global, len(mask), mask))
+        assert model.diagnostics["initial_iterations"] == 1 < cold.iterations
 
     def test_cox_intercept_rejected(self):
         # the exact information is singular along a constant column
@@ -488,12 +513,13 @@ class TestSerialization:
         record = model.diagnostics["global_variance"]
         assert record["tau_global"] == model.tau_global
         grid, objective = np.array(record["log_tau_grid"]), np.array(record["objective"])
-        k = int(np.isfinite(objective).sum())  # +inf past the scan's stop
-        assert len(grid) == len(objective) == 33 and np.isfinite(objective[:k]).all()
+        walked = np.flatnonzero(np.isfinite(objective))  # +inf where the walk fitted none
+        assert len(grid) == len(objective) == 33 and len(walked) >= 3
+        assert np.array_equal(walked, np.arange(walked[0], walked[-1] + 1))
         assert isinstance(record["on_grid_boundary"], bool)
-        assert grid[0] <= np.log(model.tau_global) <= grid[-1]
-        assert record["newton_steps"] == sum(steps) and len(steps) >= k  # the grid, Brent's
-        assert model.diagnostics["initial_iterations"] >= 1
+        assert grid[walked[0]] <= np.log(model.tau_global) <= grid[walked[-1]]
+        assert record["newton_steps"] == sum(steps) and len(steps) >= len(walked)  # the walk, Brent's
+        assert model.diagnostics["initial_iterations"] == 1  # warm from step 1's fit
         assert model.diagnostics["moments"] == [{"route": "direct", "rank": n}]
         assert back.diagnostics == model.diagnostics
 

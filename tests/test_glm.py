@@ -965,6 +965,65 @@ def assert_laplace_matches_dense(X, resp, mask, lam):
     return laplace
 
 
+def full_scan(self, log_tau):
+    """:class:`glm._LaplaceScore` fitting every point of a grid, from its
+    smallest tau2 up, each fit warm-started as the walk's are: the
+    reference the walk is checked against."""
+    if not np.ndim(log_tau):
+        return self._score(log_tau)
+    return np.array([self._score(t) for t in log_tau])
+
+
+def recorded_fits(mp):
+    """The log tau2 of every Laplace fit of the search, in order, filled in
+    as it runs (``mp`` patches :meth:`glm._LaplaceScore._score`)."""
+    taus = []
+    score = glm._LaplaceScore._score
+
+    def recorded(self, log_tau):
+        taus.append(log_tau)
+        return score(self, log_tau)
+
+    mp.setattr(glm._LaplaceScore, "_score", recorded)
+    return taus
+
+
+def grid_fits(gv, taus):
+    """The grid indices among the fitted ``taus``, in order (the refine's
+    points are off the grid)."""
+    index = {t: k for k, t in enumerate(gv.grid)}
+    return [index[t] for t in taus if t in index]
+
+
+def walk_order(best, n=33):
+    """The grid points the walk fits, in order, when no fit fails: the
+    centre and its neighbours, then one point past each step toward
+    ``best``."""
+    c = n // 2
+    step = -1 if best < c else 1
+    return [c, c - 1, c + 1] + [k for k in range(c + 2 * step, best + 2 * step, step) if 0 <= k < n]
+
+
+def assert_one_run(gv, fitted):
+    """The fitted grid points, each fitted once, form one run that holds the
+    best point and its neighbours; every other point scores +inf.  A failed
+    fit is a wall: below the best point only the run's end may have failed;
+    above it, the failures are the run's top end or, the centre having
+    failed, every point from the first failure up to the centre.  Returns
+    the best point."""
+    n = len(gv.grid)
+    lo, hi = min(fitted), max(fitted)
+    assert sorted(fitted) == list(range(lo, hi + 1))
+    best = int(np.argmin(gv.scores))
+    assert lo <= max(best - 1, 0) and min(best + 1, n - 1) <= hi
+    assert np.isinf(gv.scores[:lo]).all() and np.isinf(gv.scores[hi + 1 :]).all()
+    assert np.isfinite(gv.scores[lo + 1 : best + 1]).all()
+    up = np.isinf(gv.scores[best + 1 : hi + 1])
+    first = int(np.argmax(up)) if up.any() else len(up)
+    assert up[first:].all() and (first >= len(up) - 1 or hi == n // 2)
+    return best
+
+
 class TestGlobalVarianceCV:
     """Step 1 of binomial and cox: the Laplace marginal likelihood, which
     replaced a cross-validation, and its search."""
@@ -1003,15 +1062,41 @@ class TestGlobalVarianceCV:
 
     @pytest.mark.parametrize("family", ["binomial", "cox"])
     def test_cv_takes_no_svd(self, family, monkeypatch):
-        # one Gram and one eigh serve every point of the search
+        # one Gram and one eigh serve every point of the grid, each of them
+        # fitted here, and the refine
         def fail(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
 
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            eighs.append(1)
+            return eigh(*args, **kwargs)
+
         X, resp, mask = gv_problem(family, 19, 40, 100, unpenalized=family == "binomial")
         monkeypatch.setattr(np.linalg, "svd", fail)
-        monkeypatch.setattr(glm._LaplaceScore, "STOP", math.inf)  # every point fitted
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(glm._LaplaceScore, "__call__", full_scan)
         gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
         assert np.isfinite(gv.scores).all()
+        assert len(eighs) == 1
+
+    @pytest.mark.parametrize("family,unpenalized", [("binomial", 1), ("cox", 0)])
+    @pytest.mark.parametrize("p", [100, 12])
+    def test_fit_at_the_estimate(self, family, unpenalized, p):
+        # the search hands back its fit at the estimate in X's columns: the
+        # fit a cold start converges to, from which a fit takes one step
+        X, resp, mask = gv_problem(family, 21, 40, p, unpenalized)
+        gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
+        state = PenaltyState.uniform(gv.tau_global, X.shape[1], mask)
+        cold = fit_weighted_ridge(X, resp, state)
+        warm = fit_weighted_ridge(X, resp, state, beta0=gv.beta)
+        assert warm.iterations == 1
+        scale = np.abs(cold.beta).max()
+        assert np.allclose(gv.beta, cold.beta, rtol=0.0, atol=1e-7 * scale)
+        assert np.allclose(warm.beta, cold.beta, rtol=0.0, atol=1e-7 * scale)
+        assert estimate_global_variance(X, ResponseFamily.gaussian(X[:, 0]), mask).beta is None
 
     def test_newton_solves_stay_in_the_row_space(self, monkeypatch):
         X, resp, mask = gv_problem("binomial", 17, 40, 100, unpenalized=1)
@@ -1028,58 +1113,107 @@ class TestGlobalVarianceCV:
         assert all(cols <= rows + 1 for rows, cols in shapes)
 
     def test_no_fit_below_the_first_failure(self, monkeypatch):
-        # a failure injected two grid points above the optimum, before the
-        # scan would stop: the grid is fitted from its smallest tau2 up to
-        # the first failure, and every point above scores +inf unfitted
-        X, resp, _ = gv_problem("cox", 18, 40, 100, unpenalized=0)
-        grid = estimate_global_variance(X, resp).grid
-        best = int(np.argmin(estimate_global_variance(X, resp).scores))
-        limit = math.exp(0.5 * (grid[best + 1] + grid[best + 2]))
-        taus, steps = [], []
-        score, fit = glm._LaplaceScore._score, glm.fit_weighted_ridge
-
-        def recorded(self, log_tau):
-            taus.append(math.exp(log_tau))
-            return score(self, log_tau)
+        # a failure injected between the best point and its upper neighbour,
+        # on the walk's way up from the centre: the walk fits that neighbour,
+        # fails, and fits nothing above it; the refine stays below
+        X, resp, mask = gv_problem("binomial", 17, 40, 100, unpenalized=1)
+        free = estimate_global_variance(X, resp, unpenalized_mask=mask)
+        best, grid = int(np.argmin(free.scores)), free.grid
+        assert best == 17  # above the centre
+        limit = math.exp(0.5 * (grid[best] + grid[best + 1]))
+        steps = []
+        taus = recorded_fits(monkeypatch)
+        fit = glm.fit_weighted_ridge
 
         def failing(*args, **kwargs):
             out = fit(*args, **kwargs)
             steps.append(out.iterations)
-            if taus[-1] > limit:
+            if math.exp(taus[-1]) > limit:
                 raise ConvergenceError("injected", last_iterate=out)
             return out
 
-        monkeypatch.setattr(glm._LaplaceScore, "_score", recorded)
         monkeypatch.setattr(glm, "fit_weighted_ridge", failing)
-        gv = estimate_global_variance(X, resp)
-        assert gv.newton_steps == sum(steps)  # the capped fit's steps included
-        k = int(np.flatnonzero(np.isinf(gv.scores))[0])
-        assert k == best + 2
-        assert np.isfinite(gv.scores[:k]).all() and np.isinf(gv.scores[k:]).all()
-        assert np.array_equal(taus[: k + 1], np.exp(gv.grid[: k + 1]))
-        assert taus[k] > limit >= taus[k - 1]
+        gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
+        assert gv.newton_steps == sum(steps)  # the capped fits' steps included
+        fitted = grid_fits(gv, taus)
+        assert fitted == [16, 15, 17, 18] and assert_one_run(gv, fitted) == best
+        assert np.isinf(gv.scores[18]) and np.isfinite(gv.scores[15:18]).all()
         # the refine stays between the best point's neighbours, below the failure
         assert not gv.on_grid_boundary and gv.tau_global < limit
-        assert all(tau < taus[k] for tau in taus[k + 1 :])
+        assert all(t < grid[18] for t in taus[len(fitted) :])
+
+    def test_failed_centre_walks_down(self, monkeypatch):
+        # every fit above a point three below the centre fails: the walk goes
+        # down from the failed centre to the first fit, then on down while
+        # the score falls, and fits nothing above the centre
+        X, resp, _ = gv_problem("cox", 18, 40, 100, unpenalized=0)
+        grid = estimate_global_variance(X, resp).grid
+        limit = math.exp(0.5 * (grid[13] + grid[14]))
+        taus = recorded_fits(monkeypatch)
+        fit = glm.fit_weighted_ridge
+
+        def failing(*args, **kwargs):
+            out = fit(*args, **kwargs)
+            if math.exp(taus[-1]) > limit:
+                raise ConvergenceError("injected", last_iterate=out)
+            return out
+
+        monkeypatch.setattr(glm, "fit_weighted_ridge", failing)
+        gv = estimate_global_variance(X, resp)
+        fitted = grid_fits(gv, taus)
+        assert fitted == [16, 15, 14, 13, 12] and assert_one_run(gv, fitted) == 13
+        assert np.isfinite(gv.scores[12:14]).all() and np.isinf(gv.scores[14:]).all()
+        assert not gv.on_grid_boundary and math.exp(grid[12]) <= gv.tau_global < limit
+
+    @pytest.mark.parametrize(
+        "values,order",
+        [
+            (np.zeros(33), [16, 15, 17, *range(14, -1, -1)]),  # flat: down to the end
+            (np.maximum(np.abs(np.arange(33.0) - 12) - 2, 0), [16, 15, 17, *range(14, 8, -1)]),
+            (np.where((np.arange(33) >= 16) & (np.arange(33) <= 20), 0.0, 1.0), [16, 15, 17]),
+            (np.select([np.isin(np.arange(33), [15, 17]), np.arange(33) == 16], [0.0, 1.0], 5.0),
+             [16, 15, 17, 14]),
+        ],
+        ids=["flat", "plateau-below", "plateau-above", "equal-neighbours"],
+    )
+    def test_ties_step_toward_the_smaller_tau2(self, values, order):
+        # exact ties: the walk steps to the lower neighbour of the smaller
+        # tau2, so of equal scores it ends on the first, the best point of
+        # a scan of the whole grid
+        class Synthetic(glm._LaplaceScore):
+            def __init__(self):
+                self.fitted = []
+
+            def _score(self, log_tau):
+                self.fitted.append(int(log_tau))
+                return float(values[int(log_tau)])
+
+        laplace = Synthetic()
+        scores = laplace(np.arange(33.0))
+        assert laplace.fitted == order
+        assert np.array_equal(scores[order], values[order])
+        assert np.isinf(np.delete(scores, order)).all()
+        assert int(np.argmin(scores)) == int(np.argmin(values))
 
     @pytest.mark.parametrize("family,unpenalized", [("binomial", 1), ("cox", 0)])
     def test_scan_stops_past_the_minimum(self, family, unpenalized, monkeypatch):
-        # the scan stops once two points each score log(100) above the best:
-        # fewer fits, the same scores where fitted, the same estimate
+        # the walk stops one point past the minimum: against a scan of
+        # every grid point, far fewer fits and Newton steps, the scores of
+        # the same fits up to their stop rule, the same best point and flag
         X, resp, mask = gv_problem(family, 18, 40, 100, unpenalized)
+        taus = recorded_fits(monkeypatch)
         gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
-        monkeypatch.setattr(glm._LaplaceScore, "STOP", math.inf)
+        fitted = grid_fits(gv, taus)
+        monkeypatch.setattr(glm._LaplaceScore, "__call__", full_scan)
         full = estimate_global_variance(X, resp, unpenalized_mask=mask)
-        k = int(np.isfinite(gv.scores).sum())
-        assert k < len(gv.grid) and np.isinf(gv.scores[k:]).all()
         assert np.isfinite(full.scores).all()
-        assert np.array_equal(gv.scores[:k], full.scores[:k])
-        best = int(np.argmin(gv.scores))
-        assert k >= best + 3 and best == int(np.argmin(full.scores))
-        assert (gv.scores[k - 2 : k] > gv.scores[best] + math.log(100.0)).all()
-        assert gv.tau_global == full.tau_global
+        best = assert_one_run(gv, fitted)
+        assert fitted == walk_order(best) and len(fitted) < len(gv.grid) // 2
+        assert best == int(np.argmin(full.scores))
+        assert np.allclose(gv.scores[fitted], full.scores[fitted], rtol=1e-9, atol=0.0)
+        assert abs(math.log(gv.tau_global / full.tau_global)) <= 1e-5
         assert gv.on_grid_boundary == full.on_grid_boundary
-        assert gv.newton_steps < full.newton_steps
+        assert 2 * gv.newton_steps < full.newton_steps
 
     @pytest.mark.parametrize(
         "error",
@@ -1089,10 +1223,13 @@ class TestGlobalVarianceCV:
         ids=["capped", "singular", "overflow"],
     )
     def test_no_finite_score_is_an_error(self, error, monkeypatch):
-        # a fit that fails at the smallest tau2 leaves no finite score: the
-        # search raises, after that one fit, rather than pick a grid end
+        # a fit that fails everywhere leaves no finite score: the walk tries
+        # the centre and each point below it once, fits nothing above the
+        # centre, and the search raises rather than pick a grid end
         X, resp, _ = gv_problem("cox", 18, 40, 100, unpenalized=0)
+        grid = estimate_global_variance(X, resp).grid
         calls = []
+        taus = recorded_fits(monkeypatch)
         fit = glm.fit_weighted_ridge
 
         def failing(*args, **kwargs):
@@ -1102,7 +1239,8 @@ class TestGlobalVarianceCV:
         monkeypatch.setattr(glm, "fit_weighted_ridge", failing)
         with pytest.raises(ConvergenceError, match="no point of its grid has a finite objective"):
             estimate_global_variance(X, resp)
-        assert len(calls) == 1
+        assert np.array_equal(taus, grid[16::-1])
+        assert len(calls) == 17
 
     @given(
         st.sampled_from(["binomial", "cox"]),
@@ -1113,25 +1251,26 @@ class TestGlobalVarianceCV:
     )
     @settings(max_examples=15, deadline=None)
     def test_walk_matches_the_full_path(self, family, seed, n, p, unpenalized):
-        # the grid's warm-started fits score what a cold fit from zero scores
-        # at every point up to the grid's first +inf, where that fit works
-        # (near the top of the bracket its first steps may overflow); the
-        # best point is the best of the cold fits on the whole grid, the
-        # points the scan stopped short of included; the estimate is the best
-        # point, refined between its neighbours unless it is an end, which
-        # is flagged and warned
+        # the walk's warm-started fits score what a cold fit from zero scores
+        # wherever that fit works (near the top of the bracket its first
+        # steps may overflow); its fitted points form one run, in the walk's
+        # order where no fit failed; the best point is the best of the cold
+        # fits on the whole grid, the points the walk never reached
+        # included; the estimate is the best point, refined between its
+        # neighbours unless it is an end, which is flagged and warned
         X, resp, mask = gv_problem(family, seed, n, p, unpenalized)
-        with polished_fits(), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
-            cold = np.full(len(gv.grid), np.nan)
-            for k, t in enumerate(gv.grid):
-                cold[k] = glm._LaplaceScore(gv.gram, X[:, mask], resp)(t)
-        fitted = np.isfinite(gv.scores)
-        assert fitted.all() or np.isinf(gv.scores[np.argmin(fitted) :]).all()
-        best = int(np.argmin(gv.scores))
+        with pytest.MonkeyPatch.context() as mp, polished_fits():
+            taus = recorded_fits(mp)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                gv = estimate_global_variance(X, resp, unpenalized_mask=mask)
+            fitted = grid_fits(gv, taus)
+            cold = np.array([glm._LaplaceScore(gv.gram, X[:, mask], resp)(t) for t in gv.grid])
+        best = assert_one_run(gv, fitted)
+        if np.isfinite(gv.scores[fitted]).all():
+            assert fitted == walk_order(best)
         assert np.isfinite(cold[best]) and best == int(np.argmin(cold))
-        both = fitted & np.isfinite(cold)
+        both = np.isfinite(gv.scores) & np.isfinite(cold)
         assert np.allclose(gv.scores[both], cold[both], rtol=1e-9, atol=0.0)
         boundary = [w for w in caught if "grid boundary" in str(w.message)]
         assert gv.on_grid_boundary == (best in (0, len(gv.grid) - 1)) == bool(boundary)
@@ -1141,6 +1280,40 @@ class TestGlobalVarianceCV:
         else:
             assert gv.grid[best - 1] <= log_tau <= gv.grid[best + 1]
 
+    @given(
+        st.sampled_from(["binomial", "cox"]),
+        st.integers(0, 10_000),
+        st.sampled_from([30, 60]),
+        st.sampled_from([10, 40, 120]),
+        st.integers(0, 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk_agrees_with_a_full_scan(self, family, seed, n, p, unpenalized):
+        # against a scan that fits every grid point: the same best point and
+        # boundary flag, in fewer Newton steps; with polished fits, whose
+        # scores are exact to rounding, the same estimate within Brent's
+        # xatol of 1e-5 in log tau2.  (Unpolished, each score carries its
+        # fit's stop-rule error, up to about 1e-8, and where the objective
+        # is flat that alone can move the refine by more.)
+        X, resp, mask = gv_problem(family, seed, n, p, unpenalized)
+        out = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a boundary optimum
+            for scan in ("walk", "full"):
+                for polish in (False, True):
+                    with pytest.MonkeyPatch.context() as mp:
+                        if scan == "full":
+                            mp.setattr(glm._LaplaceScore, "__call__", full_scan)
+                        if polish:
+                            mp.setattr(glm, "fit_weighted_ridge", polished)
+                        out[scan, polish] = estimate_global_variance(X, resp, unpenalized_mask=mask)
+        for polish in (False, True):
+            walk, full = out["walk", polish], out["full", polish]
+            assert int(np.argmin(walk.scores)) == int(np.argmin(full.scores))
+            assert walk.on_grid_boundary == full.on_grid_boundary
+        assert out["walk", False].newton_steps < out["full", False].newton_steps
+        walk, full = out["walk", True], out["full", True]
+        assert abs(math.log(walk.tau_global / full.tau_global)) <= 1e-5
 
 def cd_problem(form, seed, n, p):
     """One problem in each caller's form: the hyper lasso (unit weights),

@@ -816,6 +816,49 @@ class TestSearchScreening:
             shipped.mean_rss[:k] + shipped.mean_rss[k + 1 :]
         )
 
+    def test_null_fits_once_per_in_system(self, monkeypatch):
+        # a batch repeats each split's in-system once per candidate: the
+        # lasso's null threshold and the hierarchical lasso's null fits are
+        # computed once per distinct in-system, and the choice is the one
+        # made with one computation per system and candidate
+        core, hier, part = _codata_hier_problem()
+        pairs, distinct, screened = [], [], []
+        solve = hypershrinkage.solve_hyper
+        threshold, null_fits = hypershrinkage.lasso_null_threshold, hypershrinkage._null_fits
+
+        def counted_solve(systems, *args, **kwargs):
+            pairs.append(len(systems))
+            distinct.append(len({id(s) for s in systems}))
+            return solve(systems, *args, **kwargs)
+
+        def counted_threshold(*args):
+            screened.append(1)
+            return threshold(*args)
+
+        def counted_null_fits(B, *args):
+            screened.append(len(B))
+            return null_fits(B, *args)
+
+        def search():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a grid-boundary end
+                return [
+                    estimate_hyperlambda(hier, core, "hierarchical_lasso", 5),
+                    estimate_hyperlambda(part, core, "lasso", 5),
+                ]
+
+        monkeypatch.setattr(hypershrinkage, "solve_hyper", counted_solve)
+        monkeypatch.setattr(hypershrinkage, "lasso_null_threshold", counted_threshold)
+        monkeypatch.setattr(hypershrinkage, "_null_fits", counted_null_fits)
+        shipped = search()
+        assert set(distinct) == {5} and sum(screened) == sum(distinct) < sum(pairs)
+        every = lambda systems, W_gammas: (np.arange(len(systems)),) * 2  # noqa: E731
+        monkeypatch.setattr(hypershrinkage, "_distinct", every)
+        pairs.clear()
+        screened.clear()
+        assert search() == shipped
+        assert sum(screened) == sum(pairs)
+
     def test_same_choice_without_screening(self, monkeypatch):
         # screening may change how a candidate is solved, never its score
         core, hier, part = _codata_hier_problem()
